@@ -1,25 +1,29 @@
 #include "common/cancel.h"
 
+#include <utility>
+
 namespace nwc {
 
-bool QueryControl::ShouldStopArmed() {
-  if (stopped_) return true;
-  if (cancel_cell_ != nullptr &&
-      cancel_cell_->load(std::memory_order_relaxed) != expected_epoch_) {
-    stopped_ = true;
-    status_ = Status::Cancelled("query cancelled");
-    return true;
-  }
+bool QueryControl::Stop(Status status) {
+  stopped_ = true;
+  status_ = std::move(status);
+  return true;
+}
+
+bool QueryControl::StopCancelled() { return Stop(Status::Cancelled("query cancelled")); }
+
+bool QueryControl::PollDeadline() {
   if (has_clock_deadline_) {
+    // The injected test clock is read at every checkpoint, so tests can
+    // place a deadline between any two of them.
     if (clock_ns_ && clock_ns_() >= clock_deadline_ns_) {
-      stopped_ = true;
-      status_ = Status::DeadlineExceeded("query deadline exceeded");
-      return true;
+      return Stop(Status::DeadlineExceeded("query deadline exceeded"));
     }
-  } else if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) {
-    stopped_ = true;
-    status_ = Status::DeadlineExceeded("query deadline exceeded");
-    return true;
+    return false;
+  }
+  clock_countdown_ = kDeadlineStride - 1;
+  if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) {
+    return Stop(Status::DeadlineExceeded("query deadline exceeded"));
   }
   return false;
 }

@@ -39,22 +39,6 @@ double Rect::Margin() const {
 
 Point Rect::Center() const { return Point{(min_x + max_x) * 0.5, (min_y + max_y) * 0.5}; }
 
-bool Rect::Contains(const Point& p) const {
-  return p.x >= min_x && p.x <= max_x && p.y >= min_y && p.y <= max_y;
-}
-
-bool Rect::Contains(const Rect& other) const {
-  if (other.IsEmpty()) return true;
-  return other.min_x >= min_x && other.max_x <= max_x && other.min_y >= min_y &&
-         other.max_y <= max_y;
-}
-
-bool Rect::Intersects(const Rect& other) const {
-  if (IsEmpty() || other.IsEmpty()) return false;
-  return min_x <= other.max_x && other.min_x <= max_x && min_y <= other.max_y &&
-         other.min_y <= max_y;
-}
-
 void Rect::Expand(const Point& p) {
   min_x = std::min(min_x, p.x);
   min_y = std::min(min_y, p.y);

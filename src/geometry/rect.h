@@ -50,13 +50,24 @@ struct Rect {
   Point Center() const;
 
   /// True when `p` lies inside or on the boundary.
-  bool Contains(const Point& p) const;
+  bool Contains(const Point& p) const {
+    return p.x >= min_x && p.x <= max_x && p.y >= min_y && p.y <= max_y;
+  }
 
   /// True when `other` lies entirely inside or on the boundary of this rect.
-  bool Contains(const Rect& other) const;
+  bool Contains(const Rect& other) const {
+    if (other.IsEmpty()) return true;
+    return other.min_x >= min_x && other.max_x <= max_x && other.min_y >= min_y &&
+           other.max_y <= max_y;
+  }
 
-  /// True when the two rects share at least a boundary point.
-  bool Intersects(const Rect& other) const;
+  /// True when the two rects share at least a boundary point. Inline: the
+  /// window walks and IWP probes test it for every child entry they see.
+  bool Intersects(const Rect& other) const {
+    if (IsEmpty() || other.IsEmpty()) return false;
+    return min_x <= other.max_x && other.min_x <= max_x && min_y <= other.max_y &&
+           other.min_y <= max_y;
+  }
 
   /// Grows this rect to cover `p`.
   void Expand(const Point& p);

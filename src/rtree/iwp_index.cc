@@ -22,6 +22,18 @@ int BackwardPointerCountFor(int height) {
 
 }  // namespace
 
+IwpIndex::PointerTable IwpIndex::PointerTable::FromEntries(
+    size_t slot_count, const std::vector<std::pair<NodeId, NodePointer>>& entries) {
+  PointerTable table;
+  table.begin.assign(slot_count + 1, 0);
+  for (const auto& [owner, pointer] : entries) ++table.begin[owner + 1];
+  for (size_t i = 1; i < table.begin.size(); ++i) table.begin[i] += table.begin[i - 1];
+  table.pointers.resize(entries.size());
+  std::vector<uint32_t> next(table.begin.begin(), table.begin.end() - 1);
+  for (const auto& [owner, pointer] : entries) table.pointers[next[owner]++] = pointer;
+  return table;
+}
+
 IwpIndex IwpIndex::Build(const RStarTree& tree) {
   IwpIndex index;
   index.root_ = tree.root();
@@ -42,10 +54,10 @@ IwpIndex IwpIndex::Build(const RStarTree& tree) {
 
   // Backward pointers for each leaf: self, ancestors at exponentially
   // growing height offsets, then the root.
+  std::vector<std::pair<NodeId, NodePointer>> backward;
+  backward.reserve(by_level[0].size() * static_cast<size_t>(r));
   for (const NodeId leaf_id : by_level[0]) {
-    std::vector<NodePointer>& pointers = index.backward_[leaf_id];
-    pointers.reserve(static_cast<size_t>(r));
-    pointers.push_back(NodePointer{leaf_id, tree.node(leaf_id).ComputeMbr()});
+    backward.emplace_back(leaf_id, NodePointer{leaf_id, tree.node(leaf_id).ComputeMbr()});
     for (int i = 2; i < r; ++i) {
       // bp_i targets the ancestor at paper-depth h - 2^(i-2), i.e. at
       // level 2^(i-2) above the leaf.
@@ -55,18 +67,19 @@ IwpIndex IwpIndex::Build(const RStarTree& tree) {
         ancestor = tree.node(ancestor).parent;
         assert(ancestor != kInvalidNodeId);
       }
-      pointers.push_back(NodePointer{ancestor, tree.node(ancestor).ComputeMbr()});
+      backward.emplace_back(leaf_id, NodePointer{ancestor, tree.node(ancestor).ComputeMbr()});
     }
     if (r >= 2) {
-      pointers.push_back(NodePointer{tree.root(), tree.node(tree.root()).ComputeMbr()});
+      backward.emplace_back(leaf_id,
+                            NodePointer{tree.root(), tree.node(tree.root()).ComputeMbr()});
     }
-    index.backward_pointer_count_ += pointers.size();
   }
 
   // Overlapping pointers for every backward-target node except the root:
   // same-level nodes with overlapping MBRs. Backward targets are the
   // leaves plus every node at a level of the form 2^(i-2) (any node at
   // such a level is an ancestor of its leaves, hence a target).
+  std::vector<std::pair<NodeId, NodePointer>> overlaps;
   std::vector<int> target_levels = {0};
   for (int i = 2; i < r; ++i) target_levels.push_back(1 << (i - 2));
   for (const int level : target_levels) {
@@ -79,65 +92,61 @@ IwpIndex IwpIndex::Build(const RStarTree& tree) {
               [](const auto& a, const auto& b) { return a.first.min_x < b.first.min_x; });
     for (size_t i = 0; i < boxes.size(); ++i) {
       if (boxes[i].second == tree.root()) continue;
-      std::vector<NodePointer>& pointers = index.overlaps_[boxes[i].second];
       for (size_t j = i + 1; j < boxes.size(); ++j) {
         if (boxes[j].first.min_x > boxes[i].first.max_x) break;
         if (!boxes[i].first.Intersects(boxes[j].first)) continue;
-        pointers.push_back(NodePointer{boxes[j].second, boxes[j].first});
+        overlaps.emplace_back(boxes[i].second, NodePointer{boxes[j].second, boxes[j].first});
         if (boxes[j].second != tree.root()) {
-          index.overlaps_[boxes[j].second].push_back(
-              NodePointer{boxes[i].second, boxes[i].first});
+          overlaps.emplace_back(boxes[j].second, NodePointer{boxes[i].second, boxes[i].first});
         }
       }
     }
   }
-  for (const auto& [node, pointers] : index.overlaps_) {
-    (void)node;
-    index.overlap_pointer_count_ += pointers.size();
-  }
+
+  index.backward_pointer_count_ = backward.size();
+  index.overlap_pointer_count_ = overlaps.size();
+  index.backward_ = PointerTable::FromEntries(tree.node_slot_count(), backward);
+  index.overlaps_ = PointerTable::FromEntries(tree.node_slot_count(), overlaps);
   return index;
 }
 
-const std::vector<NodePointer>& IwpIndex::BackwardPointers(NodeId leaf) const {
-  static const std::vector<NodePointer> kEmpty;
-  const auto it = backward_.find(leaf);
-  return it != backward_.end() ? it->second : kEmpty;
-}
-
-const std::vector<NodePointer>& IwpIndex::OverlapPointers(NodeId node) const {
-  static const std::vector<NodePointer> kEmpty;
-  const auto it = overlaps_.find(node);
-  return it != overlaps_.end() ? it->second : kEmpty;
-}
-
-std::vector<NodeId> IwpIndex::ResolveStartNodes(NodeId leaf, const Rect& window) const {
-  std::vector<NodeId> starts;
-  const std::vector<NodePointer>& pointers = BackwardPointers(leaf);
+void IwpIndex::ResolveStartNodes(NodeId leaf, const Rect& window,
+                                 std::vector<NodeId>* starts) const {
+  starts->clear();
   // Smallest i whose MBR covers the window; the root covers every window
   // that can contain objects, and search regions may extend beyond the
   // data space, so fall back to the root when nothing covers.
   const NodePointer* chosen = nullptr;
-  for (const NodePointer& bp : pointers) {
+  for (const NodePointer& bp : BackwardPointers(leaf)) {
     if (bp.mbr.Contains(window)) {
       chosen = &bp;
       break;
     }
   }
   if (chosen == nullptr) {
-    starts.push_back(root_);
-    return starts;
+    starts->push_back(root_);
+    return;
   }
-  starts.push_back(chosen->node);
+  starts->push_back(chosen->node);
   for (const NodePointer& op : OverlapPointers(chosen->node)) {
-    if (op.mbr.Intersects(window)) starts.push_back(op.node);
+    if (op.mbr.Intersects(window)) starts->push_back(op.node);
   }
-  return starts;
+}
+
+void IwpIndex::WindowQuery(const RStarTree& tree, NodeId leaf, const Rect& window,
+                           std::vector<NodeId>* starts, std::vector<DataObject>* out,
+                           IoCounter* io, IoPhase phase, QueryControl* control) const {
+  ResolveStartNodes(leaf, window, starts);
+  WindowQueryFrom(tree, *starts, window, out, io, phase, control);
 }
 
 std::vector<DataObject> IwpIndex::WindowQuery(const RStarTree& tree, NodeId leaf,
                                               const Rect& window, IoCounter* io, IoPhase phase,
                                               QueryControl* control) const {
-  return WindowQueryFrom(tree, ResolveStartNodes(leaf, window), window, io, phase, control);
+  std::vector<NodeId> starts;
+  std::vector<DataObject> out;
+  WindowQuery(tree, leaf, window, &starts, &out, io, phase, control);
+  return out;
 }
 
 }  // namespace nwc

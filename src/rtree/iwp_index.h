@@ -2,7 +2,9 @@
 #define NWC_RTREE_IWP_INDEX_H_
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -48,28 +50,41 @@ class IwpIndex {
   /// index and remain unmodified.
   static IwpIndex Build(const RStarTree& tree);
 
-  /// Backward pointers of `leaf` (lowest first, root last).
-  const std::vector<NodePointer>& BackwardPointers(NodeId leaf) const;
+  /// Backward pointers of `leaf` (lowest first, root last; empty for a
+  /// node that is not a leaf of the indexed tree).
+  std::span<const NodePointer> BackwardPointers(NodeId leaf) const {
+    return backward_.Of(leaf);
+  }
 
   /// Overlapping pointers of `node` (empty for nodes that are not backward
   /// targets and for the root).
-  const std::vector<NodePointer>& OverlapPointers(NodeId node) const;
+  std::span<const NodePointer> OverlapPointers(NodeId node) const {
+    return overlaps_.Of(node);
+  }
 
   /// Algorithm 3: answers the window query for `window`, issued while
-  /// processing an object stored in `leaf`, and returns the objects inside.
+  /// processing an object stored in `leaf`, and appends the objects inside
+  /// to `out`. `starts` is caller-owned scratch for the resolved start
+  /// nodes; with both buffers reused across calls a probe allocates
+  /// nothing.
   ///
   /// I/O accounting: consulting the pointer tables is free — the backward
   /// pointers ride along with the object when its leaf is expanded into the
   /// priority queue, and the overlap table of the chosen start node is
   /// embedded in that node's page. Every node traversed by the window
   /// query itself charges one read, exactly as a root-based query would.
+  void WindowQuery(const RStarTree& tree, NodeId leaf, const Rect& window,
+                   std::vector<NodeId>* starts, std::vector<DataObject>* out, IoCounter* io,
+                   IoPhase phase = IoPhase::kWindowQuery, QueryControl* control = nullptr) const;
+
+  /// The same query returning a fresh vector (tests and ablations).
   std::vector<DataObject> WindowQuery(const RStarTree& tree, NodeId leaf, const Rect& window,
                                       IoCounter* io, IoPhase phase = IoPhase::kWindowQuery,
                                       QueryControl* control = nullptr) const;
 
-  /// Resolves the start nodes Algorithm 3 would search from (exposed for
-  /// tests and for the storage/ablation analysis).
-  std::vector<NodeId> ResolveStartNodes(NodeId leaf, const Rect& window) const;
+  /// Replaces `starts` with the start nodes Algorithm 3 searches from
+  /// (exposed for tests and for the storage/ablation analysis).
+  void ResolveStartNodes(NodeId leaf, const Rect& window, std::vector<NodeId>* starts) const;
 
   /// Total number of stored backward pointers (Sec. 5.2 accounting).
   size_t backward_pointer_count() const { return backward_pointer_count_; }
@@ -84,10 +99,28 @@ class IwpIndex {
   }
 
  private:
+  /// Per-node pointer lists in two flat arrays indexed by NodeId: the list
+  /// of node `id` is pointers[begin[id], begin[id + 1]). A probe reads it
+  /// with two loads instead of a hash lookup.
+  struct PointerTable {
+    std::vector<uint32_t> begin;  // node_slot_count() + 1 offsets
+    std::vector<NodePointer> pointers;
+
+    std::span<const NodePointer> Of(NodeId id) const {
+      if (static_cast<size_t>(id) + 1 >= begin.size()) return {};
+      return {pointers.data() + begin[id], pointers.data() + begin[id + 1]};
+    }
+
+    /// Lays out `entries` (owner, pointer) by owner, keeping the order in
+    /// which each owner's pointers were produced.
+    static PointerTable FromEntries(size_t slot_count,
+                                    const std::vector<std::pair<NodeId, NodePointer>>& entries);
+  };
+
   IwpIndex() = default;
 
-  std::unordered_map<NodeId, std::vector<NodePointer>> backward_;
-  std::unordered_map<NodeId, std::vector<NodePointer>> overlaps_;
+  PointerTable backward_;
+  PointerTable overlaps_;
   NodeId root_ = kInvalidNodeId;
   size_t backward_pointer_count_ = 0;
   size_t overlap_pointer_count_ = 0;

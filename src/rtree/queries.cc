@@ -103,23 +103,19 @@ void WindowQueryMemo::Insert(NodeId scope, const Rect& window, std::vector<DataO
 std::vector<DataObject> WindowQuery(const RStarTree& tree, const Rect& window, IoCounter* io,
                                     IoPhase phase, QueryControl* control) {
   std::vector<DataObject> result;
-  WindowWalk(tree, tree.root(), window, io, phase, control, [&](const RTreeNode& leaf) {
-    CollectLeafHits(leaf, window, &result);
-  });
+  const NodeId root = tree.root();
+  WindowQueryFrom(tree, {&root, 1}, window, &result, io, phase, control);
   return result;
 }
 
-std::vector<DataObject> WindowQueryFrom(const RStarTree& tree,
-                                        const std::vector<NodeId>& start_nodes,
-                                        const Rect& window, IoCounter* io, IoPhase phase,
-                                        QueryControl* control) {
-  std::vector<DataObject> result;
+void WindowQueryFrom(const RStarTree& tree, std::span<const NodeId> start_nodes,
+                     const Rect& window, std::vector<DataObject>* out, IoCounter* io,
+                     IoPhase phase, QueryControl* control) {
   for (const NodeId start : start_nodes) {
     WindowWalk(tree, start, window, io, phase, control, [&](const RTreeNode& leaf) {
-      CollectLeafHits(leaf, window, &result);
+      CollectLeafHits(leaf, window, out);
     });
   }
-  return result;
 }
 
 size_t WindowCount(const RStarTree& tree, const Rect& window, IoCounter* io, IoPhase phase,

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <queue>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -83,14 +84,14 @@ std::vector<DataObject> WindowQuery(const RStarTree& tree, const Rect& window, I
                                     QueryControl* control = nullptr);
 
 /// Window query that starts from an explicit set of subtree roots instead
-/// of the tree root; the IWP technique (Algorithm 3) uses this with the
-/// nodes reached through backward/overlapping pointers. Subtrees must be
-/// disjoint (as same-depth R-tree nodes are), or duplicates will result.
-std::vector<DataObject> WindowQueryFrom(const RStarTree& tree,
-                                        const std::vector<NodeId>& start_nodes,
-                                        const Rect& window, IoCounter* io,
-                                        IoPhase phase = IoPhase::kWindowQuery,
-                                        QueryControl* control = nullptr);
+/// of the tree root, appending the hits to `out`; the IWP technique
+/// (Algorithm 3) uses this with the nodes reached through backward/
+/// overlapping pointers, and the NWC search with the root and a reused
+/// buffer. Subtrees must be disjoint (as same-depth R-tree nodes are), or
+/// duplicates will result.
+void WindowQueryFrom(const RStarTree& tree, std::span<const NodeId> start_nodes,
+                     const Rect& window, std::vector<DataObject>* out, IoCounter* io,
+                     IoPhase phase = IoPhase::kWindowQuery, QueryControl* control = nullptr);
 
 /// Counts the objects inside `window` without materializing them; same
 /// traversal and I/O accounting as WindowQuery.

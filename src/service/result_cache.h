@@ -4,10 +4,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/nwc_types.h"
 
@@ -73,8 +75,13 @@ struct ResultCacheKey {
 /// results (found == false / zero groups) are cached too: they are exact
 /// answers and often the most expensive to recompute.
 ///
-/// Capacity is accounted in approximate bytes (entry struct + stored
-/// objects); each shard owns capacity_bytes / shards and evicts its own
+/// Each entry is stored once: one hash-map node holding the key, intrusive
+/// LRU links, the generation stamp and a pointer to the packed result —
+/// one allocation of group headers, then the members' xs, ys and ids.
+/// Capacity is accounted in bytes actually allocated: the map allocates
+/// its nodes and bucket arrays, and the cache its packed results, through
+/// an allocator that charges the shard, so the budget bounds what the
+/// cache holds. Each shard owns capacity_bytes / shards and evicts its own
 /// LRU tail independently. Sharding bounds lock contention: workers
 /// serving different queries almost always lock different shards.
 ///
@@ -100,7 +107,7 @@ class ResultCache {
     uint64_t bytes = 0;
   };
 
-  /// A cache of at most `capacity_bytes` (approximate), split over
+  /// A cache of at most `capacity_bytes` of entries, split over
   /// `shards` independent LRU shards. `shards` is rounded up to 1.
   explicit ResultCache(size_t capacity_bytes, size_t shards = 8);
 
@@ -139,42 +146,87 @@ class ResultCache {
   uint64_t generation() const { return generation_.load(std::memory_order_relaxed); }
 
  private:
-  struct Entry {
-    ResultCacheKey key;
-    uint64_t generation = 0;
-    size_t bytes = 0;
-    bool is_knwc = false;
-    NwcResult nwc;
-    KnwcResult knwc;
+  /// Allocator that adds every byte it hands out to a shard's byte gauge
+  /// and subtracts it again on release.
+  template <typename T>
+  struct ChargedAllocator {
+    using value_type = T;
+
+    explicit ChargedAllocator(size_t* bytes) : bytes(bytes) {}
+    template <typename U>
+    ChargedAllocator(const ChargedAllocator<U>& other) : bytes(other.bytes) {}
+
+    T* allocate(size_t n) {
+      *bytes += n * sizeof(T);
+      return std::allocator<T>().allocate(n);
+    }
+    void deallocate(T* p, size_t n) {
+      *bytes -= n * sizeof(T);
+      std::allocator<T>().deallocate(p, n);
+    }
+    friend bool operator==(const ChargedAllocator& a, const ChargedAllocator& b) {
+      return a.bytes == b.bytes;
+    }
+
+    size_t* bytes;
   };
 
   struct KeyHash {
-    size_t operator()(const ResultCacheKey& key) const {
+    // noexcept lets the map recompute hashes instead of storing one per
+    // node; the chains it walks are short.
+    size_t operator()(const ResultCacheKey& key) const noexcept {
       return static_cast<size_t>(key.Hash());
     }
   };
 
+  struct Slot;
+  using Node = std::pair<const ResultCacheKey, Slot>;
+
+  /// The mapped value of one entry. `payload` is the packed result (see
+  /// result_cache.cc); the LRU list threads through the map's own nodes.
+  struct Slot {
+    Node* newer = nullptr;
+    Node* older = nullptr;
+    uint64_t generation = 0;
+    std::byte* payload = nullptr;
+  };
+
   struct Shard {
+    Shard()
+        : index(0, KeyHash{}, std::equal_to<ResultCacheKey>{},
+                ChargedAllocator<Node>(&bytes)) {}
+    ~Shard();
+
     mutable std::mutex mu;
-    // Most recently used at the front.
-    std::list<Entry> lru;
-    std::unordered_map<ResultCacheKey, std::list<Entry>::iterator, KeyHash> index;
-    size_t bytes = 0;
+    size_t bytes = 0;  // every byte allocated for this shard's entries
+    using Index = std::unordered_map<ResultCacheKey, Slot, KeyHash,
+                                     std::equal_to<ResultCacheKey>, ChargedAllocator<Node>>;
+    Index index;
+    Node* newest = nullptr;  // LRU head
+    Node* oldest = nullptr;  // LRU tail, evicted first
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;
+
+    void Unlink(Node* node);
+    void PushNewest(Node* node);
+    /// Removes an entry: LRU links, packed result and map node.
+    void Erase(Index::iterator it);
   };
 
   Shard& ShardFor(const ResultCacheKey& key) {
     return *shards_[key.Hash() % shards_.size()];
   }
 
-  /// Shared hit/miss machinery; `fill` copies the entry's payload out.
-  template <typename Fill>
-  bool LookupImpl(const ResultCacheKey& key, const Fill& fill);
+  /// Shared hit/miss machinery; `unpack` copies the packed result out.
+  template <typename Unpack>
+  bool LookupImpl(const ResultCacheKey& key, const Unpack& unpack);
 
-  void InsertImpl(const ResultCacheKey& key, Entry entry);
+  /// Stores the packed form of a result with `groups` group headers and
+  /// `objects` members in total; `pack` fills the allocation.
+  template <typename Pack>
+  void InsertImpl(const ResultCacheKey& key, size_t groups, size_t objects, const Pack& pack);
 
   size_t capacity_bytes_;
   size_t shard_capacity_bytes_;

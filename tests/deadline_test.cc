@@ -11,6 +11,7 @@
 //     query over dense uniform data with a 100 microsecond deadline comes
 //     back DeadlineExceeded in well under 10 milliseconds.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -178,6 +179,82 @@ TEST(DeadlineServiceTest, TightDeadlineOnDenseDataFailsFastNotSlow) {
   EXPECT_EQ(metrics.queries, 2u);
   EXPECT_EQ(metrics.failures, 1u);
 }
+
+// Strided deadline polls: a steady_clock deadline is read at the first
+// checkpoint and then once every QueryControl::kDeadlineStride checkpoints,
+// while cancel cells and faults are still checked at every checkpoint.
+
+TEST(DeadlineStrideTest, PastSteadyDeadlineStopsBeforeAnyNodeRead) {
+  Dataset dataset = MakeUniform(5000, /*seed=*/0xDEAD4);
+  const RStarTree tree = BulkLoadStr(dataset.objects, RTreeOptions{});
+  const IwpIndex iwp = IwpIndex::Build(tree);
+  const DensityGrid grid(dataset.space, 100.0, dataset.objects);
+  const NwcEngine engine(tree, &iwp, &grid);
+
+  IoCounter io;
+  QueryControl control;
+  control.SetDeadline(std::chrono::steady_clock::now() - std::chrono::milliseconds(1));
+  const Result<NwcResult> result = engine.Execute(NwcQuery{Point{5000, 5000}, 300, 300, 6},
+                                                  NwcOptions::Star(), &io, nullptr, &control);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(io.total(), 0u) << "the first checkpoint must read the clock";
+}
+
+TEST(DeadlineStrideTest, MicrosecondTimeoutOnDenseQueryStillExpires) {
+  Dataset dataset = MakeUniform(20000, /*seed=*/0xDEAD5);
+  const RStarTree tree = BulkLoadStr(dataset.objects, RTreeOptions{});
+  const IwpIndex iwp = IwpIndex::Build(tree);
+  const DensityGrid grid(dataset.space, 100.0, dataset.objects);
+  const KnwcEngine engine(tree, &iwp, &grid);
+  const KnwcQuery query{NwcQuery{Point{5000, 5000}, 800, 800, 16}, 8, 4};
+
+  IoCounter full_io;
+  const Result<KnwcResult> full = engine.Execute(query, NwcOptions::Star(), &full_io);
+  ASSERT_TRUE(full.ok()) << full.status();
+  ASSERT_FALSE(full->groups.empty());
+
+  IoCounter io;
+  QueryControl control;
+  control.SetTimeout(1);
+  const Result<KnwcResult> result =
+      engine.Execute(query, NwcOptions::Star(), &io, nullptr, &control);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(io.total(), full_io.total());
+}
+
+TEST(DeadlineStrideTest, CancelFlippedMidSearchStopsAtTheNextCheckpoint) {
+  Dataset dataset = MakeUniform(5000, /*seed=*/0xDEAD6);
+  const RStarTree tree = BulkLoadStr(dataset.objects, RTreeOptions{});
+  const IwpIndex iwp = IwpIndex::Build(tree);
+  const NwcEngine engine(tree, &iwp);
+  const NwcQuery query{Point{5000, 5000}, 400, 400, 8};
+
+  IoCounter full_io;
+  ASSERT_TRUE(engine.Execute(query, NwcOptions::Iwp(), &full_io).ok());
+  const uint64_t flip_at = full_io.total() / 2;
+  ASSERT_GT(flip_at, 2 * uint64_t{QueryControl::kDeadlineStride});
+
+  // The cell flips inside the flip_at-th page read. Every node access is
+  // preceded by a checkpoint, so no further page may be read, even though a
+  // far steady_clock deadline is armed and its clock reads are strided.
+  std::atomic<uint64_t> epoch{0};
+  uint64_t reads = 0;
+  IoCounter io;
+  io.SetReadProbe([&](uint32_t) {
+    if (++reads == flip_at) epoch.store(1, std::memory_order_relaxed);
+  });
+  QueryControl control;
+  control.SetTimeout(60ULL * 1000 * 1000);
+  control.SetCancelCell(&epoch, 0);
+  const Result<NwcResult> result =
+      engine.Execute(query, NwcOptions::Iwp(), &io, nullptr, &control);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(io.total(), flip_at);
+}
+
 
 }  // namespace
 }  // namespace nwc

@@ -8,7 +8,9 @@
 #include "service/result_cache.h"
 
 #include <cmath>
+#include <cstdlib>
 #include <future>
+#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +19,49 @@
 #include "datasets/generators.h"
 #include "rtree/bulk_load.h"
 #include "service/query_service.h"
+
+// Counting operator new for the accounting test: every allocation carries
+// its requested size in a 16-byte header, and the bytes live on each thread
+// (allocated minus released there) are tallied per thread, so queries that
+// other tests run on worker threads cannot disturb a measurement.
+namespace {
+constexpr size_t kAllocHeader = 16;
+thread_local int64_t t_live_bytes = 0;
+
+void* CountedAlloc(size_t bytes) {
+  void* base = std::malloc(bytes + kAllocHeader);
+  if (base == nullptr) return nullptr;
+  *static_cast<size_t*>(base) = bytes;
+  t_live_bytes += static_cast<int64_t>(bytes);
+  return static_cast<char*>(base) + kAllocHeader;
+}
+
+void CountedFree(void* p) {
+  if (p == nullptr) return;
+  char* base = static_cast<char*>(p) - kAllocHeader;
+  t_live_bytes -= static_cast<int64_t>(*reinterpret_cast<size_t*>(base));
+  std::free(base);
+}
+
+void* CountedAllocOrThrow(size_t bytes) {
+  void* p = CountedAlloc(bytes);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(size_t bytes) { return CountedAllocOrThrow(bytes); }
+void* operator new[](size_t bytes) { return CountedAllocOrThrow(bytes); }
+void* operator new(size_t bytes, const std::nothrow_t&) noexcept { return CountedAlloc(bytes); }
+void* operator new[](size_t bytes, const std::nothrow_t&) noexcept {
+  return CountedAlloc(bytes);
+}
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, size_t) noexcept { CountedFree(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { CountedFree(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { CountedFree(p); }
 
 namespace nwc {
 namespace {
@@ -255,6 +300,51 @@ TEST(ResultCacheTest, ResetStatsZeroesCountersButKeepsEntries) {
   EXPECT_EQ(stats.insertions, 0u);
   EXPECT_EQ(stats.entries, 1u);  // gauge, not a counter: entry survives
   EXPECT_TRUE(cache.LookupNwc(MakeQuery(1, 1), NwcOptions::Plain(), &out));
+}
+
+TEST(ResultCacheAccountingTest, InsertAllocatesNoMoreThanTheEntryIsCharged) {
+  // The byte budget must bound memory: every byte an insert leaves
+  // allocated (entry, packed result, the map's share of bucket arrays) is
+  // charged to the cache. Served-size answers: 8-object NWC groups and
+  // 4 x 8 kNWC groups at 7:1, as the benchmark's ca_mixed sends them.
+  ResultCache cache(64u << 20, /*shards=*/8);
+  const NwcOptions options = NwcOptions::Star();
+  const int64_t live_at_start = t_live_bytes;
+  uint64_t nwc_entries = 0;
+  uint64_t nwc_charged = 0;
+  for (uint32_t i = 0; i < 20000; ++i) {
+    const NwcQuery query = MakeQuery(i * 0.5, i * 0.25, 8, 8, 8);
+    const NwcResult nwc_result = MakeResult(i, 8);
+    KnwcResult knwc_result;
+    for (uint32_t g = 0; g < 4; ++g) {
+      NwcGroup group;
+      group.distance = nwc_result.distance + g;
+      group.objects = MakeResult(i + 8 * g, 8).objects;
+      knwc_result.groups.push_back(std::move(group));
+    }
+    const bool knwc = i % 8 == 7;
+
+    const int64_t live_before = t_live_bytes;
+    const uint64_t charged_before = cache.GetStats().bytes;
+    if (knwc) {
+      cache.InsertKnwc(KnwcQuery{query, 4, 2}, options, knwc_result);
+    } else {
+      cache.InsertNwc(query, options, nwc_result);
+    }
+    const int64_t allocated = t_live_bytes - live_before;
+    const uint64_t charged = cache.GetStats().bytes - charged_before;
+    ASSERT_LE(allocated, static_cast<int64_t>(charged)) << "insert " << i;
+    if (!knwc) {
+      ++nwc_entries;
+      nwc_charged += charged;
+    }
+  }
+  const ResultCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.entries, 20000u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_LE(t_live_bytes - live_at_start, static_cast<int64_t>(stats.bytes));
+  // An 8-object NWC answer packs into one map node and one 184-byte result.
+  EXPECT_LE(nwc_charged / nwc_entries, 350u);
 }
 
 // ---------------------------------------------------------------------------

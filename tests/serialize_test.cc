@@ -138,5 +138,73 @@ TEST(SerializeTest, LoadTruncatedFails) {
   EXPECT_FALSE(loaded.ok());
 }
 
+// A hand-written tree file: a valid header claiming `slot_count` slots,
+// then `tail` as the slot bytes.
+std::string WriteTreeFile(const char* name, uint64_t slot_count, const std::string& tail) {
+  const std::string path = TempPath(name);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  const RTreeOptions options;
+  const uint64_t magic = 0x4E57435452454531ULL;  // "NWCTREE1"
+  const int32_t max_entries = static_cast<int32_t>(options.max_entries);
+  const int32_t min_entries = static_cast<int32_t>(options.min_entries);
+  const uint8_t forced = options.forced_reinsert ? 1 : 0;
+  const uint8_t split = static_cast<uint8_t>(options.split_algorithm);
+  const uint64_t size = 1;
+  const NodeId root = 0;
+  std::fwrite(&magic, sizeof(magic), 1, f);
+  std::fwrite(&max_entries, sizeof(max_entries), 1, f);
+  std::fwrite(&min_entries, sizeof(min_entries), 1, f);
+  std::fwrite(&options.reinsert_fraction, sizeof(double), 1, f);
+  std::fwrite(&forced, 1, 1, f);
+  std::fwrite(&split, 1, 1, f);
+  std::fwrite(&size, sizeof(size), 1, f);
+  std::fwrite(&slot_count, sizeof(slot_count), 1, f);
+  std::fwrite(&root, sizeof(root), 1, f);
+  std::fwrite(tail.data(), 1, tail.size(), f);
+  std::fclose(f);
+  return path;
+}
+
+// One live slot at `level` whose record count is 0xFFFFFFFF, followed by
+// a few stray bytes instead of the records.
+std::string HostileSlot(int32_t level) {
+  std::string slot(1, '\1');
+  const NodeId parent = kInvalidNodeId;
+  const uint32_t count = 0xFFFFFFFFu;
+  slot.append(reinterpret_cast<const char*>(&level), sizeof(level));
+  slot.append(reinterpret_cast<const char*>(&parent), sizeof(parent));
+  slot.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  slot.append(24, '\0');
+  return slot;
+}
+
+// Counts in a tree file are bounded by the file's size before anything is
+// allocated: each hostile count below used to size a multi-gigabyte
+// allocation and throw std::bad_alloc.
+TEST(SerializeTest, HostileSlotCountInHeaderFails) {
+  const std::string path = WriteTreeFile("hostile_slots.nwctree", uint64_t{1} << 40, "");
+  Result<RStarTree> loaded = Status::Internal("LoadTree threw");
+  EXPECT_NO_THROW(loaded = LoadTree(path));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError) << loaded.status();
+}
+
+TEST(SerializeTest, HostileLeafObjectCountFails) {
+  const std::string path = WriteTreeFile("hostile_leaf.nwctree", 1, HostileSlot(0));
+  Result<RStarTree> loaded = Status::Internal("LoadTree threw");
+  EXPECT_NO_THROW(loaded = LoadTree(path));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError) << loaded.status();
+}
+
+TEST(SerializeTest, HostileChildCountFails) {
+  const std::string path = WriteTreeFile("hostile_children.nwctree", 1, HostileSlot(1));
+  Result<RStarTree> loaded = Status::Internal("LoadTree threw");
+  EXPECT_NO_THROW(loaded = LoadTree(path));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError) << loaded.status();
+}
+
 }  // namespace
 }  // namespace nwc

@@ -451,6 +451,51 @@ TEST(WireFormat, BodyDecodersRejectOutOfRangeEnums) {
 // splices) and replay them in random-sized chunks. Every outcome must be
 // a clean decode or a typed error — decoders must not crash, loop, or
 // hand back frames past the first corruption.
+// Hostile counts: a u32 record count taken from the peer must never size
+// an allocation beyond what the body's bytes can hold. Each body below
+// claims 0xFFFFFFFF records but carries none; decoding must fail as
+// truncated instead of reserving gigabytes (which threw std::bad_alloc).
+void OverwriteLastCount(std::string* body) {
+  ASSERT_GE(body->size(), 4u);
+  for (size_t i = body->size() - 4; i < body->size(); ++i) (*body)[i] = static_cast<char>(0xFF);
+}
+
+TEST(WireFormat, HostileObjectCountFailsAsTruncated) {
+  NwcResponse response;
+  response.result.found = true;
+  std::string body;
+  EncodeNwcResponse(response, &body);  // ends with the object count
+  OverwriteLastCount(&body);
+  NwcResponse decoded;
+  Status status;
+  EXPECT_NO_THROW(status = DecodeNwcResponse(body, &decoded));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("truncated"), std::string::npos) << status.ToString();
+}
+
+TEST(WireFormat, HostileKnwcGroupCountFailsAsTruncated) {
+  std::string body;
+  EncodeKnwcResponse(KnwcResponse{}, &body);  // ends with the group count
+  OverwriteLastCount(&body);
+  KnwcResponse decoded;
+  Status status;
+  EXPECT_NO_THROW(status = DecodeKnwcResponse(body, &decoded));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("truncated"), std::string::npos) << status.ToString();
+}
+
+TEST(WireFormat, HostileUpdateCountFailsAsTruncated) {
+  // The 17-byte update body: a count of 0xFFFFFFFF and 13 stray bytes.
+  std::string body(17, '\0');
+  OverwriteLastCount(&body);
+  std::rotate(body.begin(), body.end() - 4, body.end());  // count first
+  MutationBatch decoded;
+  Status status;
+  EXPECT_NO_THROW(status = DecodeUpdateRequest(body, &decoded));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_NE(status.message().find("truncated"), std::string::npos) << status.ToString();
+}
+
 TEST(WireFormat, FuzzedStreamsNeverCrashTheDecoder) {
   std::string pristine = EncodeNwcRequestFrame(1, MakeNwcRequest());
   pristine += EncodeKnwcRequestFrame(2, MakeKnwcRequest());
