@@ -1,8 +1,8 @@
 #include "rtree/iwp_index.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
+#include <utility>
+#include <vector>
 
 #include "rtree/queries.h"
 
@@ -40,39 +40,32 @@ IwpIndex IwpIndex::Build(const RStarTree& tree) {
   const int h = tree.height();  // leaves are at paper-depth h
   const int r = BackwardPointerCountFor(h);
 
-  // Collect all live nodes grouped by level, walking down from the root
-  // (the arena may contain freed slots, so traverse rather than scan ids).
-  std::vector<std::vector<NodeId>> by_level(static_cast<size_t>(h) + 1);
-  std::vector<NodeId> stack = {tree.root()};
-  while (!stack.empty()) {
-    const NodeId id = stack.back();
-    stack.pop_back();
-    const RTreeNode& n = tree.node(id);
-    by_level[static_cast<size_t>(n.level)].push_back(id);
-    for (const ChildEntry& entry : n.children) stack.push_back(entry.child);
-  }
-
-  // Backward pointers for each leaf: self, ancestors at exponentially
-  // growing height offsets, then the root.
+  // One walk down from the root (the arena may contain freed slots, so
+  // traverse rather than scan ids) reads every node's MBR exactly once:
+  // from its parent's child entry, which ValidateTree holds equal to the
+  // recomputed MBR, or by recomputation for the root alone. The walk is
+  // depth-first, so when a leaf is reached `path[l]` holds its ancestor at
+  // level l.
+  std::vector<std::vector<NodePointer>> by_level(static_cast<size_t>(h) + 1);
+  std::vector<NodePointer> path(static_cast<size_t>(h) + 1);
   std::vector<std::pair<NodeId, NodePointer>> backward;
-  backward.reserve(by_level[0].size() * static_cast<size_t>(r));
-  for (const NodeId leaf_id : by_level[0]) {
-    backward.emplace_back(leaf_id, NodePointer{leaf_id, tree.node(leaf_id).ComputeMbr()});
-    for (int i = 2; i < r; ++i) {
-      // bp_i targets the ancestor at paper-depth h - 2^(i-2), i.e. at
-      // level 2^(i-2) above the leaf.
-      const int target_level = 1 << (i - 2);
-      NodeId ancestor = leaf_id;
-      while (tree.node(ancestor).level < target_level) {
-        ancestor = tree.node(ancestor).parent;
-        assert(ancestor != kInvalidNodeId);
-      }
-      backward.emplace_back(leaf_id, NodePointer{ancestor, tree.node(ancestor).ComputeMbr()});
-    }
-    if (r >= 2) {
-      backward.emplace_back(leaf_id,
-                            NodePointer{tree.root(), tree.node(tree.root()).ComputeMbr()});
-    }
+  backward.reserve(tree.node_count() * static_cast<size_t>(r));
+  std::vector<NodePointer> stack = {{tree.root(), tree.node(tree.root()).ComputeMbr()}};
+  while (!stack.empty()) {
+    const NodePointer visit = stack.back();
+    stack.pop_back();
+    const RTreeNode& n = tree.node(visit.node);
+    by_level[static_cast<size_t>(n.level)].push_back(visit);
+    path[static_cast<size_t>(n.level)] = visit;
+    for (const ChildEntry& entry : n.children) stack.push_back({entry.child, entry.mbr});
+    if (!n.is_leaf()) continue;
+
+    // Backward pointers for each leaf: self, ancestors at exponentially
+    // growing height offsets, then the root. bp_i targets the ancestor at
+    // paper-depth h - 2^(i-2), i.e. at level 2^(i-2) above the leaf.
+    backward.emplace_back(visit.node, visit);
+    for (int i = 2; i < r; ++i) backward.emplace_back(visit.node, path[1u << (i - 2)]);
+    if (r >= 2) backward.emplace_back(visit.node, path[static_cast<size_t>(h)]);
   }
 
   // Overlapping pointers for every backward-target node except the root:
@@ -83,22 +76,18 @@ IwpIndex IwpIndex::Build(const RStarTree& tree) {
   std::vector<int> target_levels = {0};
   for (int i = 2; i < r; ++i) target_levels.push_back(1 << (i - 2));
   for (const int level : target_levels) {
-    const std::vector<NodeId>& peers = by_level[static_cast<size_t>(level)];
     // Sweep over min_x so only x-overlapping pairs are compared.
-    std::vector<std::pair<Rect, NodeId>> boxes;
-    boxes.reserve(peers.size());
-    for (const NodeId id : peers) boxes.emplace_back(tree.node(id).ComputeMbr(), id);
-    std::sort(boxes.begin(), boxes.end(),
-              [](const auto& a, const auto& b) { return a.first.min_x < b.first.min_x; });
+    std::vector<NodePointer>& boxes = by_level[static_cast<size_t>(level)];
+    std::sort(boxes.begin(), boxes.end(), [](const NodePointer& a, const NodePointer& b) {
+      return a.mbr.min_x < b.mbr.min_x;
+    });
     for (size_t i = 0; i < boxes.size(); ++i) {
-      if (boxes[i].second == tree.root()) continue;
+      if (boxes[i].node == tree.root()) continue;
       for (size_t j = i + 1; j < boxes.size(); ++j) {
-        if (boxes[j].first.min_x > boxes[i].first.max_x) break;
-        if (!boxes[i].first.Intersects(boxes[j].first)) continue;
-        overlaps.emplace_back(boxes[i].second, NodePointer{boxes[j].second, boxes[j].first});
-        if (boxes[j].second != tree.root()) {
-          overlaps.emplace_back(boxes[j].second, NodePointer{boxes[i].second, boxes[i].first});
-        }
+        if (boxes[j].mbr.min_x > boxes[i].mbr.max_x) break;
+        if (!boxes[i].mbr.Intersects(boxes[j].mbr)) continue;
+        overlaps.emplace_back(boxes[i].node, boxes[j]);
+        if (boxes[j].node != tree.root()) overlaps.emplace_back(boxes[j].node, boxes[i]);
       }
     }
   }

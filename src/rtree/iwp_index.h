@@ -46,8 +46,10 @@ struct NodePointer {
 /// IoCounters passed to WindowQuery() must not be shared across threads.
 class IwpIndex {
  public:
-  /// Builds the pointer structure for `tree`. The tree must outlive the
-  /// index and remain unmodified.
+  /// Builds the pointer structure for `tree` in one depth-first walk. The
+  /// tree must outlive the index and remain unmodified. Every non-root MBR
+  /// is taken from the parent's child entry, so the tree must be valid in
+  /// the ValidateTree sense (entries equal their children's MBRs).
   static IwpIndex Build(const RStarTree& tree);
 
   /// Backward pointers of `leaf` (lowest first, root last; empty for a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/string_util.h"
@@ -46,7 +47,8 @@ RStarTree RStarTree::FromParts(RTreeOptions options,
                                std::vector<std::unique_ptr<RTreeNode>> nodes, NodeId root,
                                size_t size) {
   RStarTree tree(options);
-  tree.nodes_ = std::move(nodes);
+  tree.nodes_.assign(std::make_move_iterator(nodes.begin()),
+                     std::make_move_iterator(nodes.end()));
   tree.free_list_.clear();
   for (NodeId id = 0; id < tree.nodes_.size(); ++id) {
     if (tree.nodes_[id] == nullptr) tree.free_list_.push_back(id);
@@ -56,14 +58,7 @@ RStarTree RStarTree::FromParts(RTreeOptions options,
   return tree;
 }
 
-RStarTree RStarTree::Clone() const {
-  std::vector<std::unique_ptr<RTreeNode>> nodes;
-  nodes.reserve(nodes_.size());
-  for (const std::unique_ptr<RTreeNode>& n : nodes_) {
-    nodes.push_back(n == nullptr ? nullptr : std::make_unique<RTreeNode>(*n));
-  }
-  return FromParts(options_, std::move(nodes), root_, size_);
-}
+RStarTree RStarTree::Clone() const { return RStarTree(*this); }
 
 int RStarTree::height() const { return node(root_).level; }
 
@@ -85,7 +80,12 @@ bool RStarTree::IsLive(NodeId id) const { return id < nodes_.size() && nodes_[id
 
 RTreeNode* RStarTree::MutableNode(NodeId id) {
   assert(id < nodes_.size() && nodes_[id] != nullptr);
-  return nodes_[id].get();
+  std::shared_ptr<RTreeNode>& slot = nodes_[id];
+  // Only the writer clones or mutates, so the count cannot rise under us;
+  // a clone dropped concurrently at worst leaves a stale count above 1,
+  // which costs one needless copy.
+  if (slot.use_count() > 1) slot = std::make_shared<RTreeNode>(*slot);
+  return slot.get();
 }
 
 NodeId RStarTree::AllocateNode(int level) {
@@ -93,10 +93,10 @@ NodeId RStarTree::AllocateNode(int level) {
   if (!free_list_.empty()) {
     id = free_list_.back();
     free_list_.pop_back();
-    nodes_[id] = std::make_unique<RTreeNode>();
+    nodes_[id] = std::make_shared<RTreeNode>();
   } else {
     id = static_cast<NodeId>(nodes_.size());
-    nodes_.push_back(std::make_unique<RTreeNode>());
+    nodes_.push_back(std::make_shared<RTreeNode>());
   }
   RTreeNode* n = nodes_[id].get();
   n->id = id;
@@ -193,7 +193,9 @@ void RStarTree::InsertAtLevel(const Rect& entry_mbr, const DataObject* object,
   } else {
     assert(subtree != nullptr && n->level == node(subtree->child).level + 1);
     n->children.push_back(*subtree);
-    MutableNode(subtree->child)->parent = target;
+    // A forced reinsert can put a subtree back under its old parent; leave
+    // that child shared instead of copying it for a no-op write.
+    if (node(subtree->child).parent != target) MutableNode(subtree->child)->parent = target;
   }
   AdjustPathMbrs(target);
   if (n->entry_count() > static_cast<size_t>(options_.max_entries)) {
@@ -264,8 +266,6 @@ void RStarTree::SplitNode(NodeId node_id, std::vector<bool>& levels_reinserted) 
   RTreeNode* n = MutableNode(node_id);
   const int level = n->level;
   const NodeId sibling_id = AllocateNode(level);
-  // AllocateNode may reallocate the arena vector; refresh the pointer.
-  n = MutableNode(node_id);
   RTreeNode* sibling = MutableNode(sibling_id);
 
   const size_t m = static_cast<size_t>(options_.min_entries);
@@ -286,8 +286,6 @@ void RStarTree::SplitNode(NodeId node_id, std::vector<bool>& levels_reinserted) 
 
   if (node_id == root_) {
     const NodeId new_root = AllocateNode(level + 1);
-    n = MutableNode(node_id);
-    sibling = MutableNode(sibling_id);
     RTreeNode* root_node = MutableNode(new_root);
     root_node->children.push_back(ChildEntry{n->ComputeMbr(), node_id});
     root_node->children.push_back(ChildEntry{sibling->ComputeMbr(), sibling_id});
@@ -385,20 +383,20 @@ void RStarTree::CondenseTree(NodeId leaf_id) {
 
   NodeId current = leaf_id;
   while (current != root_) {
-    RTreeNode* n = MutableNode(current);
-    const NodeId parent_id = n->parent;
-    if (n->entry_count() < static_cast<size_t>(options_.min_entries)) {
+    const RTreeNode& n = node(current);
+    const NodeId parent_id = n.parent;
+    if (n.entry_count() < static_cast<size_t>(options_.min_entries)) {
       // Remove the underfull node and queue its entries for reinsertion.
       RTreeNode* parent = MutableNode(parent_id);
       auto it = std::find_if(parent->children.begin(), parent->children.end(),
                              [current](const ChildEntry& e) { return e.child == current; });
       assert(it != parent->children.end());
       parent->children.erase(it);
-      if (n->is_leaf()) {
-        orphan_objects.insert(orphan_objects.end(), n->objects.begin(), n->objects.end());
+      if (n.is_leaf()) {
+        orphan_objects.insert(orphan_objects.end(), n.objects.begin(), n.objects.end());
       } else {
-        for (const ChildEntry& entry : n->children) {
-          orphan_subtrees.emplace_back(n->level, entry);
+        for (const ChildEntry& entry : n.children) {
+          orphan_subtrees.emplace_back(n.level, entry);
         }
       }
       FreeNode(current);

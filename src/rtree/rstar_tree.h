@@ -55,18 +55,21 @@ struct RTreeOptions {
 /// concurrently*. AccessNode() mutates nothing in the tree; all I/O
 /// accounting goes to the caller-supplied per-query IoCounter, which must
 /// not be shared across threads. The query service relies on this
-/// const-reader contract (src/service/). Mutations require external
-/// exclusive locking, or (the paper's and the service's setting) a tree
-/// that is frozen after construction.
+/// const-reader contract (src/service/).
 ///
-/// The class is move-only (it owns the node arena).
+/// Nodes are shared between a tree and its Clone()s (copy-on-write, see
+/// Clone()). One thread — the writer — may clone a tree and mutate it while
+/// other threads read clones of it; a mutation copies any node still shared
+/// before touching it, so no clone ever observes a write. Only the writer
+/// clones or mutates; a clone may be destroyed on any thread.
+///
+/// The class is move-only; Clone() is the one way to copy a tree.
 class RStarTree {
  public:
   explicit RStarTree(RTreeOptions options = RTreeOptions());
 
   RStarTree(RStarTree&&) = default;
   RStarTree& operator=(RStarTree&&) = default;
-  RStarTree(const RStarTree&) = delete;
   RStarTree& operator=(const RStarTree&) = delete;
 
   /// Inserts one data object. Duplicate positions and ids are allowed (the
@@ -122,15 +125,23 @@ class RStarTree {
   static RStarTree FromParts(RTreeOptions options, std::vector<std::unique_ptr<RTreeNode>> nodes,
                              NodeId root, size_t size);
 
-  /// Deep copy: duplicates the node arena (preserving node ids, the free
-  /// list, and per-leaf SoA layout) so the copy and the original can
-  /// diverge independently. O(n); the snapshot layer uses this to publish
-  /// an immutable epoch while the writer keeps mutating its own tree.
+  /// Copy-on-write copy: shares every node with this tree (same ids, free
+  /// list, and per-leaf SoA layout) and copies only the arena's pointer
+  /// vector, so it costs O(node slots) pointer copies and no node copies.
+  /// Either tree may then mutate independently: a mutation copies a node
+  /// first while any other tree still holds it. The snapshot layer uses
+  /// this to publish an immutable epoch while the writer keeps mutating
+  /// its own tree.
   RStarTree Clone() const;
 
  private:
   friend class RStarTreeTestPeer;
 
+  /// Shares every node; only Clone() copies a tree.
+  RStarTree(const RStarTree&) = default;
+
+  /// Write access to node `id`: first replaces the arena slot with a
+  /// private copy when the node is shared with a clone.
   RTreeNode* MutableNode(NodeId id);
   NodeId AllocateNode(int level);
   void FreeNode(NodeId id);
@@ -164,7 +175,9 @@ class RStarTree {
   void CondenseTree(NodeId leaf_id);
 
   RTreeOptions options_;
-  std::vector<std::unique_ptr<RTreeNode>> nodes_;
+  /// Null for freed slots. A node with use_count() > 1 is shared with a
+  /// clone and must not be written in place.
+  std::vector<std::shared_ptr<RTreeNode>> nodes_;
   std::vector<NodeId> free_list_;
   NodeId root_ = kInvalidNodeId;
   size_t size_ = 0;

@@ -112,8 +112,11 @@ SnapshotStore::SnapshotRef SnapshotStore::PublishLocked() {
     current_epoch = epoch_;
   }
 
-  // Copy-on-write: the writer stack stays mutable; readers get a deep
-  // clone they can hold across any number of future publishes.
+  // Copy-on-write: the clone shares every node with the writer tree, and
+  // the writer copies a node before its next write to it, so readers can
+  // hold this epoch across any number of future publishes. published_
+  // always holds the latest clone, so a node the writer writes in place
+  // was made after the last publish and no reader has ever seen it.
   auto tree = std::make_unique<RStarTree>(writer_tree_->Clone());
 
   std::unique_ptr<IwpIndex> iwp;
@@ -139,11 +142,19 @@ SnapshotStore::SnapshotRef SnapshotStore::PublishLocked() {
   auto session = std::make_shared<const Session>(
       Session::FromParts(std::move(tree), std::move(iwp), std::move(grid)));
 
-  std::lock_guard<std::mutex> lock(publish_mu_);
-  published_ = std::move(session);
-  ++epoch_;
-  unpublished_mutations_ = 0;
-  return SnapshotRef{published_, epoch_};
+  // The superseded session is released after publish_mu_ is: when no
+  // reader pins it, dropping it frees the nodes the writer has since
+  // replaced, and Acquire() must not wait on that.
+  std::shared_ptr<const Session> superseded;
+  SnapshotRef ref;
+  {
+    std::lock_guard<std::mutex> lock(publish_mu_);
+    superseded = std::exchange(published_, std::move(session));
+    ++epoch_;
+    unpublished_mutations_ = 0;
+    ref = SnapshotRef{published_, epoch_};
+  }
+  return ref;
 }
 
 }  // namespace nwc

@@ -37,12 +37,16 @@ using MutationBatch = std::vector<Mutation>;
 /// The store owns a *writer* stack — a mutable R*-tree plus an
 /// incrementally-maintained density grid — and a *published* immutable
 /// Session readers share. Apply() mutates only the writer stack; Publish()
-/// clones it (deep tree copy, grid copy with frozen prefix sums, IWP
-/// rebuilt or omitted per the staleness bound below) into a fresh Session
-/// and atomically swaps it in under a new epoch number. Readers that
-/// Acquire()d the previous epoch keep their shared_ptr — and therefore
-/// bit-exact answers for that epoch — until they drop it; the old Session
-/// is destroyed when the last holder releases.
+/// clones it (copy-on-write tree clone, grid copy with frozen prefix sums,
+/// IWP rebuilt or omitted per the staleness bound below) into a fresh
+/// Session and atomically swaps it in under a new epoch number. The tree
+/// clone shares every node with the writer tree; the writer copies a node
+/// before its first write while any snapshot still holds it, so a publish
+/// copies only what the batch touched. Readers that Acquire()d the
+/// previous epoch keep their shared_ptr — and therefore bit-exact answers
+/// for that epoch — until they drop it; the old Session is destroyed when
+/// the last holder releases, which frees only the nodes no later epoch
+/// shares.
 ///
 /// Lazy IWP rebuild: the IWP pointer tables store node ids and MBRs of the
 /// exact tree they were built over, so *any* structural change invalidates
@@ -55,10 +59,12 @@ using MutationBatch = std::vector<Mutation>;
 /// and the next snapshots carry a fresh IWP again. The default limit of 0
 /// rebuilds on every publish (every snapshot has a fresh IWP).
 ///
-/// ThreadSafety: Acquire()/epoch() are safe from any thread at any time.
-/// Apply()/Publish()/ApplyAndPublish() are serialized internally, so
-/// multiple writers do not corrupt the stack — but the store is designed
-/// for the one-writer/many-readers regime the service exposes.
+/// ThreadSafety: Acquire()/epoch() are safe from any thread at any time,
+/// and a SnapshotRef may be dropped on any thread. Apply()/Publish()/
+/// ApplyAndPublish() are serialized internally (writer_mu_), so at most
+/// one thread at a time clones or mutates the writer tree, as its
+/// copy-on-write requires. The store is designed for the
+/// one-writer/many-readers regime the service exposes.
 class SnapshotStore {
  public:
   struct Config {
@@ -149,7 +155,8 @@ class SnapshotStore {
   size_t mutations_since_iwp_build_ = 0;
 
   /// Guards the published (session, epoch) pair; held only for the swap in
-  /// Publish() and the copy in Acquire().
+  /// Publish() and the copy in Acquire(). The superseded session is
+  /// released after the swap, outside this lock.
   mutable std::mutex publish_mu_;
   std::shared_ptr<const Session> published_;
   uint64_t epoch_ = 0;

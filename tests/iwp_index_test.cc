@@ -1,9 +1,12 @@
 #include "rtree/iwp_index.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -193,6 +196,173 @@ TEST(IwpIndexTest, ResolveStartNodesFallsBackToRootForHugeWindows) {
   index.ResolveStartNodes(leaf, Rect{-1e9, -1e9, 1e9, 1e9}, &starts);
   ASSERT_EQ(starts.size(), 1u);
   EXPECT_EQ(starts[0], tree.root());
+}
+
+// ---- Equivalence with the per-leaf reference construction ---------------
+
+// The pointer tables of the reference construction, as (owner, pointer)
+// entries in production order.
+struct ReferenceTables {
+  std::vector<std::pair<NodeId, NodePointer>> backward;
+  std::vector<std::pair<NodeId, NodePointer>> overlaps;
+};
+
+// The straightforward construction IwpIndex::Build must reproduce: every
+// pointer's MBR recomputed from the target node's entries, and every
+// leaf's ancestors found by walking parent links.
+ReferenceTables ReferenceBuild(const RStarTree& tree) {
+  ReferenceTables tables;
+  const int h = tree.height();
+  int r = 1;
+  if (h > 0) {
+    r = 2;
+    while (h - (1 << (r - 2)) > 0) ++r;
+  }
+
+  std::vector<std::vector<NodeId>> by_level(static_cast<size_t>(h) + 1);
+  std::vector<NodeId> stack = {tree.root()};
+  while (!stack.empty()) {
+    const NodeId id = stack.back();
+    stack.pop_back();
+    const RTreeNode& n = tree.node(id);
+    by_level[static_cast<size_t>(n.level)].push_back(id);
+    for (const ChildEntry& entry : n.children) stack.push_back(entry.child);
+  }
+
+  for (const NodeId leaf_id : by_level[0]) {
+    tables.backward.emplace_back(leaf_id, NodePointer{leaf_id, tree.node(leaf_id).ComputeMbr()});
+    for (int i = 2; i < r; ++i) {
+      const int target_level = 1 << (i - 2);
+      NodeId ancestor = leaf_id;
+      while (tree.node(ancestor).level < target_level) {
+        ancestor = tree.node(ancestor).parent;
+        assert(ancestor != kInvalidNodeId);
+      }
+      tables.backward.emplace_back(leaf_id,
+                                   NodePointer{ancestor, tree.node(ancestor).ComputeMbr()});
+    }
+    if (r >= 2) {
+      tables.backward.emplace_back(
+          leaf_id, NodePointer{tree.root(), tree.node(tree.root()).ComputeMbr()});
+    }
+  }
+
+  std::vector<int> target_levels = {0};
+  for (int i = 2; i < r; ++i) target_levels.push_back(1 << (i - 2));
+  for (const int level : target_levels) {
+    std::vector<std::pair<Rect, NodeId>> boxes;
+    for (const NodeId id : by_level[static_cast<size_t>(level)]) {
+      boxes.emplace_back(tree.node(id).ComputeMbr(), id);
+    }
+    std::sort(boxes.begin(), boxes.end(),
+              [](const auto& a, const auto& b) { return a.first.min_x < b.first.min_x; });
+    for (size_t i = 0; i < boxes.size(); ++i) {
+      if (boxes[i].second == tree.root()) continue;
+      for (size_t j = i + 1; j < boxes.size(); ++j) {
+        if (boxes[j].first.min_x > boxes[i].first.max_x) break;
+        if (!boxes[i].first.Intersects(boxes[j].first)) continue;
+        tables.overlaps.emplace_back(boxes[i].second,
+                                     NodePointer{boxes[j].second, boxes[j].first});
+        if (boxes[j].second != tree.root()) {
+          tables.overlaps.emplace_back(boxes[j].second,
+                                       NodePointer{boxes[i].second, boxes[i].first});
+        }
+      }
+    }
+  }
+  return tables;
+}
+
+// The reference pointers `owner` owns, in production order.
+std::vector<NodePointer> PointersOf(const std::vector<std::pair<NodeId, NodePointer>>& entries,
+                                    NodeId owner) {
+  std::vector<NodePointer> out;
+  for (const auto& [id, pointer] : entries) {
+    if (id == owner) out.push_back(pointer);
+  }
+  return out;
+}
+
+// Entry-for-entry equality: target id and MBR bit pattern, in order.
+void ExpectSameTable(std::span<const NodePointer> actual, const std::vector<NodePointer>& expected,
+                     const char* table, NodeId owner) {
+  ASSERT_EQ(actual.size(), expected.size()) << table << " pointers of node " << owner;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].node, expected[i].node) << table << " node " << owner << " entry " << i;
+    EXPECT_EQ(std::memcmp(&actual[i].mbr, &expected[i].mbr, sizeof(Rect)), 0)
+        << table << " node " << owner << " entry " << i;
+  }
+}
+
+void ExpectMatchesReference(const RStarTree& tree) {
+  const IwpIndex index = IwpIndex::Build(tree);
+  const ReferenceTables reference = ReferenceBuild(tree);
+  EXPECT_EQ(index.backward_pointer_count(), reference.backward.size());
+  EXPECT_EQ(index.overlap_pointer_count(), reference.overlaps.size());
+  EXPECT_EQ(index.StorageBytes(),
+            (reference.backward.size() + reference.overlaps.size()) * kPointerBytes);
+  for (NodeId id = 0; id < tree.node_slot_count(); ++id) {
+    ExpectSameTable(index.BackwardPointers(id), PointersOf(reference.backward, id), "backward",
+                    id);
+    ExpectSameTable(index.OverlapPointers(id), PointersOf(reference.overlaps, id), "overlap", id);
+  }
+}
+
+TEST(IwpIndexTest, MatchesReferenceOnBulkLoadedTrees) {
+  for (const int max_entries : {8, 16, 50}) {
+    for (const size_t count : {size_t{1}, size_t{40}, size_t{3000}}) {
+      SCOPED_TRACE(testing::Message() << "max_entries " << max_entries << " count " << count);
+      ExpectMatchesReference(BuildTree(count, 81 + count, max_entries));
+    }
+  }
+  ExpectMatchesReference(RStarTree());  // empty root leaf
+}
+
+TEST(IwpIndexTest, MatchesReferenceOnInsertBuiltTrees) {
+  // Positions snapped to a coarse grid give many nodes equal min_x, so the
+  // overlap sweep's order among ties is compared too.
+  std::vector<DataObject> snapped = RandomObjects(3000, 85);
+  for (DataObject& obj : snapped) {
+    obj.pos = Point{std::floor(obj.pos.x / 40), std::floor(obj.pos.y / 40)};
+  }
+  for (const int max_entries : {8, 50}) {
+    RTreeOptions options;
+    options.max_entries = max_entries;
+    options.min_entries = max_entries * 2 / 5;
+    for (const std::vector<DataObject>& objects : {RandomObjects(3000, 82), snapped}) {
+      RStarTree tree(options);
+      for (const DataObject& obj : objects) tree.Insert(obj);
+      SCOPED_TRACE(testing::Message() << "max_entries " << max_entries);
+      ExpectMatchesReference(tree);
+    }
+  }
+}
+
+TEST(IwpIndexTest, MatchesReferenceAfterMutations) {
+  // 2,000 inserts and deletes on a bulk-loaded tree, cloned as a snapshot
+  // every 100 mutations so the index is also built over shared nodes.
+  const std::vector<DataObject> objects = RandomObjects(3000, 83);
+  RStarTree tree = BuildTree(3000, 83);
+  std::vector<DataObject> live = objects;
+  Rng rng(84);
+  ObjectId next_id = 100000;
+  for (int step = 0; step < 2000; ++step) {
+    if (rng.NextBernoulli(0.5)) {
+      const DataObject obj{next_id++, Point{rng.NextDouble(0, 1000), rng.NextDouble(0, 1000)}};
+      tree.Insert(obj);
+      live.push_back(obj);
+    } else {
+      const size_t victim = static_cast<size_t>(rng.NextUint64(live.size()));
+      ASSERT_TRUE(tree.Delete(live[victim]).ok());
+      live[victim] = live.back();
+      live.pop_back();
+    }
+    if (step % 100 == 99) {
+      const RStarTree snapshot = tree.Clone();
+      ExpectMatchesReference(snapshot);
+    }
+  }
+  ExpectMatchesReference(tree);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include "rtree/rstar_tree.h"
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +14,15 @@
 #include "rtree/validate.h"
 
 namespace nwc {
+
+// Reads the arena directly so tests can check which nodes a clone shares.
+class RStarTreeTestPeer {
+ public:
+  static const RTreeNode* Slot(const RStarTree& tree, NodeId id) { return tree.nodes_[id].get(); }
+  static long UseCount(const RStarTree& tree, NodeId id) { return tree.nodes_[id].use_count(); }
+  static const std::vector<NodeId>& FreeList(const RStarTree& tree) { return tree.free_list_; }
+};
+
 namespace {
 
 std::vector<DataObject> RandomObjects(size_t count, uint64_t seed, double extent = 1000.0) {
@@ -210,6 +222,92 @@ TEST(RStarTreeTest, CloneDivergesIndependently) {
         WindowQuery(original, Rect::FromPoint(objects[i].pos), &io, IoPhase::kWindowQuery);
     EXPECT_FALSE(hits.empty()) << "object " << i << " vanished from the original";
   }
+}
+
+TEST(RStarTreeTest, CloneSharesEveryLiveNode) {
+  // Inserts then deletes, so the arena carries freed slots too.
+  RStarTree tree(SmallNodeOptions());
+  const std::vector<DataObject> objects = RandomObjects(600, 12);
+  for (const DataObject& obj : objects) tree.Insert(obj);
+  for (size_t i = 0; i < objects.size(); i += 3) ASSERT_TRUE(tree.Delete(objects[i]).ok());
+  ASSERT_FALSE(RStarTreeTestPeer::FreeList(tree).empty());
+
+  const RStarTree clone = tree.Clone();
+  ASSERT_EQ(clone.node_slot_count(), tree.node_slot_count());
+  EXPECT_EQ(clone.root(), tree.root());
+  EXPECT_EQ(clone.size(), tree.size());
+  EXPECT_EQ(RStarTreeTestPeer::FreeList(clone), RStarTreeTestPeer::FreeList(tree));
+  for (NodeId id = 0; id < tree.node_slot_count(); ++id) {
+    ASSERT_EQ(RStarTreeTestPeer::Slot(clone, id), RStarTreeTestPeer::Slot(tree, id)) << id;
+    if (tree.IsLive(id)) {
+      EXPECT_EQ(RStarTreeTestPeer::UseCount(tree, id), 2) << id;
+    }
+  }
+  EXPECT_TRUE(ValidateTree(clone).ok());
+}
+
+bool SameBits(const Rect& a, const Rect& b) { return std::memcmp(&a, &b, sizeof(Rect)) == 0; }
+
+// Field-by-field node equality, coordinates compared bit for bit.
+bool SameNode(const RTreeNode& a, const RTreeNode& b) {
+  if (a.id != b.id || a.level != b.level || a.parent != b.parent ||
+      a.children.size() != b.children.size() || a.objects.size() != b.objects.size() ||
+      a.objects.zorder_packed() != b.objects.zorder_packed()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.children.size(); ++i) {
+    if (a.children[i].child != b.children[i].child ||
+        !SameBits(a.children[i].mbr, b.children[i].mbr)) {
+      return false;
+    }
+  }
+  const size_t n = a.objects.size();
+  return n == 0 || (std::memcmp(a.objects.xs(), b.objects.xs(), n * sizeof(double)) == 0 &&
+                    std::memcmp(a.objects.ys(), b.objects.ys(), n * sizeof(double)) == 0 &&
+                    std::memcmp(a.objects.ids(), b.objects.ids(), n * sizeof(ObjectId)) == 0);
+}
+
+TEST(RStarTreeTest, BatchUnsharesOnlyTouchedPathsAndSplits) {
+  const std::vector<DataObject> objects = RandomObjects(2000, 13);
+  RStarTree writer = BulkLoadStr(objects, SmallNodeOptions());
+  const RStarTree snapshot = writer.Clone();
+
+  // 16 mutations: 8 deletes spread over the tree, and 8 inserts stacked on
+  // one spot so that leaf overflows into a reinsert and a split.
+  for (size_t i = 0; i < 8; ++i) ASSERT_TRUE(writer.Delete(objects[i * 211]).ok());
+  for (ObjectId i = 0; i < 8; ++i) {
+    writer.Insert(DataObject{static_cast<ObjectId>(50000 + i), Point{500.0 + i * 1e-3, 500.0}});
+  }
+  ASSERT_TRUE(ValidateTree(writer).ok()) << ValidateTree(writer).ToString();
+  ASSERT_TRUE(ValidateTree(snapshot).ok()) << ValidateTree(snapshot).ToString();
+  ASSERT_GT(writer.node_slot_count(), snapshot.node_slot_count()) << "expected a split";
+
+  // Touched: nodes that are new or whose content changed, plus every
+  // ancestor of one (their child entries' MBRs are rewritten).
+  std::set<NodeId> touched;
+  for (NodeId id = 0; id < writer.node_slot_count(); ++id) {
+    if (!writer.IsLive(id)) continue;
+    if (snapshot.IsLive(id) && SameNode(writer.node(id), snapshot.node(id))) continue;
+    for (NodeId up = id; up != kInvalidNodeId; up = writer.node(up).parent) touched.insert(up);
+  }
+  size_t unshared = 0;
+  for (NodeId id = 0; id < writer.node_slot_count(); ++id) {
+    if (!writer.IsLive(id)) continue;
+    if (snapshot.IsLive(id) &&
+        RStarTreeTestPeer::Slot(writer, id) == RStarTreeTestPeer::Slot(snapshot, id)) {
+      continue;
+    }
+    ++unshared;
+    EXPECT_TRUE(touched.count(id) == 1) << "node " << id << " was copied but not touched";
+  }
+  EXPECT_EQ(unshared, touched.size());
+  EXPECT_LT(unshared * 4, writer.node_count()) << "most of the tree must stay shared";
+
+  // The snapshot still holds exactly the original objects.
+  std::vector<DataObject> held = WindowQuery(snapshot, snapshot.bounds(), nullptr);
+  std::sort(held.begin(), held.end(),
+            [](const DataObject& a, const DataObject& b) { return a.id < b.id; });
+  EXPECT_EQ(held, objects);
 }
 
 // Walks down the leftmost spine to any leaf node id.

@@ -4,8 +4,11 @@
 // correctness under real mutations (positive and negative entries) and the
 // typed update API's static/dynamic split.
 
+#include <atomic>
+#include <bit>
 #include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -218,6 +221,102 @@ TEST(SnapshotStoreTest, ConfigSupportsIsEpochIndependent) {
   // configured for it — use_iwp requests stay supported and degrade.
   EXPECT_EQ((*store)->Acquire().session->iwp(), nullptr);
   EXPECT_TRUE((*store)->Supports(NwcOptions::Star()));
+}
+
+// 16 mutations against `live`: about half inserts of fresh ids, the rest
+// deletes of stored objects. `live` tracks what the store holds.
+MutationBatch RandomBatch(Rng* rng, std::vector<DataObject>* live, ObjectId* next_id) {
+  MutationBatch batch;
+  for (int i = 0; i < 16; ++i) {
+    if (live->empty() || rng->NextBernoulli(0.5)) {
+      const DataObject obj{(*next_id)++, Point{rng->NextDouble(0, 100), rng->NextDouble(0, 100)}};
+      batch.push_back(Mutation::Insert(obj));
+      live->push_back(obj);
+    } else {
+      const size_t victim = static_cast<size_t>(rng->NextUint64(live->size()));
+      batch.push_back(Mutation::Delete((*live)[victim]));
+      (*live)[victim] = live->back();
+      live->pop_back();
+    }
+  }
+  return batch;
+}
+
+// Everything a reader of the tree can observe, floating-point fields as
+// raw bits: per node its id, level, parent, child entries with their MBRs,
+// the leaf's SoA xs/ys/ids, and the Z-order packing flag.
+std::vector<uint64_t> DumpTree(const RStarTree& tree) {
+  std::vector<uint64_t> dump = {tree.root(), tree.size(), tree.node_slot_count()};
+  const auto bits = [&dump](double value) { dump.push_back(std::bit_cast<uint64_t>(value)); };
+  for (NodeId id = 0; id < tree.node_slot_count(); ++id) {
+    dump.push_back(tree.IsLive(id));
+    if (!tree.IsLive(id)) continue;
+    const RTreeNode& n = tree.node(id);
+    dump.insert(dump.end(), {n.id, n.parent, static_cast<uint64_t>(n.level), n.children.size(),
+                             n.objects.size(), n.objects.zorder_packed()});
+    for (const ChildEntry& entry : n.children) {
+      dump.push_back(entry.child);
+      bits(entry.mbr.min_x);
+      bits(entry.mbr.min_y);
+      bits(entry.mbr.max_x);
+      bits(entry.mbr.max_y);
+    }
+    for (size_t i = 0; i < n.objects.size(); ++i) {
+      bits(n.objects.xs()[i]);
+      bits(n.objects.ys()[i]);
+      dump.push_back(n.objects.ids()[i]);
+    }
+  }
+  return dump;
+}
+
+TEST(SnapshotStoreTest, PinnedSnapshotIsUntouchedByLaterBatches) {
+  std::vector<DataObject> live = UniformObjects(3000, 12);
+  auto store = OpenStore(live);
+  const SnapshotStore::SnapshotRef pinned = store->Acquire();
+  const std::vector<uint64_t> before = DumpTree(pinned.session->tree());
+
+  // Publishes share every untouched node with the pinned epoch; the writer
+  // must copy each one before its first write.
+  Rng rng(13);
+  ObjectId next_id = 100000;
+  for (int b = 0; b < 200; ++b) {
+    ASSERT_TRUE(store->ApplyAndPublish(RandomBatch(&rng, &live, &next_id), nullptr, nullptr).ok());
+  }
+  EXPECT_EQ(store->epoch(), 201u);
+  EXPECT_TRUE(DumpTree(pinned.session->tree()) == before)
+      << "writer batches leaked into a pinned snapshot";
+  EXPECT_TRUE(ValidateTree(pinned.session->tree()).ok());
+  const SnapshotStore::SnapshotRef current = store->Acquire();
+  EXPECT_TRUE(ValidateTree(current.session->tree()).ok());
+  EXPECT_EQ(current.session->tree().size(), live.size());
+}
+
+TEST(SnapshotStoreTest, ReaderDropsSnapshotsWhileWriterPublishes) {
+  std::vector<DataObject> live = UniformObjects(2000, 14);
+  auto store = OpenStore(live);
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    // Pins a few epochs at a time, reads all of each, and drops them out
+    // of order, so the last holder of an epoch is sometimes this thread.
+    std::vector<SnapshotStore::SnapshotRef> held;
+    for (size_t round = 0; !done.load(); ++round) {
+      held.push_back(store->Acquire());
+      const RStarTree& tree = held.back().session->tree();
+      EXPECT_TRUE(ValidateTree(tree).ok());
+      EXPECT_EQ(CollectTreeObjects(tree).size(), tree.size());
+      if (held.size() > 3) held.erase(round % 2 == 0 ? held.begin() : held.end() - 2);
+    }
+  });
+  Rng rng(15);
+  ObjectId next_id = 100000;
+  for (int b = 0; b < 100; ++b) {
+    EXPECT_TRUE(store->ApplyAndPublish(RandomBatch(&rng, &live, &next_id), nullptr, nullptr).ok());
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(store->epoch(), 101u);
+  EXPECT_EQ(store->Acquire().session->tree().size(), live.size());
 }
 
 // ---- service-level guarantees -------------------------------------------

@@ -2,16 +2,49 @@
 // validation in FrameDecoder (truncation, oversize, unknown types,
 // poisoning), and a deterministic fuzz pass replaying mutated byte
 // streams — a corrupt stream must always yield a typed error, never a
-// crash or an invented frame.
+// crash, an invented frame, or an allocation its bytes cannot back.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "net/wire.h"
+
+// Counting operator new for the fuzz loop's allocation bound: the bytes
+// each thread requests are tallied per thread, so allocations that other
+// threads make cannot disturb a measurement.
+namespace {
+thread_local uint64_t t_allocated_bytes = 0;
+
+void* CountedAlloc(size_t bytes) {
+  t_allocated_bytes += bytes;
+  return std::malloc(bytes == 0 ? 1 : bytes);
+}
+
+void* CountedAllocOrThrow(size_t bytes) {
+  void* p = CountedAlloc(bytes);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(size_t bytes) { return CountedAllocOrThrow(bytes); }
+void* operator new[](size_t bytes) { return CountedAllocOrThrow(bytes); }
+void* operator new(size_t bytes, const std::nothrow_t&) noexcept { return CountedAlloc(bytes); }
+void* operator new[](size_t bytes, const std::nothrow_t&) noexcept {
+  return CountedAlloc(bytes);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace nwc {
 namespace {
@@ -496,6 +529,12 @@ TEST(WireFormat, HostileUpdateCountFailsAsTruncated) {
   EXPECT_NE(status.message().find("truncated"), std::string::npos) << status.ToString();
 }
 
+// The allocation bound on each fuzzed frame: decoded records are at most a
+// few times larger than their wire encoding, plus room for one error
+// message.
+constexpr uint64_t kMaxAllocPerBodyByte = 8;
+constexpr uint64_t kAllocSlackBytes = 256;
+
 TEST(WireFormat, FuzzedStreamsNeverCrashTheDecoder) {
   std::string pristine = EncodeNwcRequestFrame(1, MakeNwcRequest());
   pristine += EncodeKnwcRequestFrame(2, MakeKnwcRequest());
@@ -541,6 +580,7 @@ TEST(WireFormat, FuzzedStreamsNeverCrashTheDecoder) {
       while (!poisoned) {
         bool has_frame = false;
         WireFrame frame;
+        const uint64_t allocated_before = t_allocated_bytes;
         const Status status = decoder.Poll(&has_frame, &frame);
         if (!status.ok()) {
           EXPECT_TRUE(status.code() == StatusCode::kInvalidArgument ||
@@ -583,6 +623,12 @@ TEST(WireFormat, FuzzedStreamsNeverCrashTheDecoder) {
             break;
           }
         }
+        // Reassembly plus body decoding is bounded by the body's size: a
+        // count field the bytes cannot back must not reserve memory.
+        const uint64_t allocated = t_allocated_bytes - allocated_before;
+        EXPECT_LE(allocated, kMaxAllocPerBodyByte * frame.body.size() + kAllocSlackBytes)
+            << "round " << round << ": frame type " << static_cast<int>(frame.type)
+            << " with a " << frame.body.size() << "-byte body";
       }
       if (poisoned) break;
     }
