@@ -13,6 +13,8 @@
 #include <cerrno>
 #include <cstring>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -91,6 +93,24 @@ bool HttpWantsClose(const std::string& head, const std::string& request_line) {
 /// stamp from wrapping to a ~585-millennium offset).
 uint64_t OffsetMicros(uint64_t now_us, uint64_t origin_us) {
   return now_us > origin_us ? now_us - origin_us : 0;
+}
+
+/// Exception boundary: runs `fn` and returns the description of any
+/// exception it throws, or nullopt when it returns normally.
+template <typename Fn>
+std::optional<std::string> CaughtException(const Fn& fn) {
+  try {
+    fn();
+    return std::nullopt;
+  } catch (const std::exception& e) {
+    return std::string(e.what());
+  } catch (...) {
+    return std::string("unknown exception");
+  }
+}
+
+Status InternalStatus(const std::string& what) {
+  return Status::Internal("server failed handling the request: " + what);
 }
 
 }  // namespace
@@ -216,6 +236,8 @@ class NetServer::Impl {
     // loop patches (relative to `receive_us`) just before writing.
     bool traced = false;
     uint64_t receive_us = 0;
+    // `bytes` is the typed error of a request whose encoding threw.
+    bool internal_error = false;
   };
 
   static Status Errno(const std::string& what) {
@@ -235,12 +257,22 @@ class NetServer::Impl {
     [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
   }
 
-  // Worker-thread side: queue one encoded response and wake the loop.
-  void PushCompletion(uint64_t conn_id, std::string bytes, bool traced = false,
-                      uint64_t receive_us = 0) {
+  // Worker-thread side: queues the response `encode` builds (a
+  // Completion without conn_id) and wakes the loop. An exception from
+  // `encode` queues the request's typed internal error instead; escaping,
+  // it would leave the request in flight forever.
+  template <typename Encode>
+  void Complete(uint64_t conn_id, uint64_t request_id, const Encode& encode) {
+    Completion completion;
+    if (const auto what = CaughtException([&] { completion = encode(); })) {
+      completion = Completion{};
+      completion.bytes = EncodeErrorFrame(request_id, InternalStatus(*what));
+      completion.internal_error = true;
+    }
+    completion.conn_id = conn_id;
     {
       std::lock_guard<std::mutex> lock(completions_mu_);
-      completions_.push_back(Completion{conn_id, std::move(bytes), traced, receive_us});
+      completions_.push_back(std::move(completion));
     }
     Wake();
   }
@@ -431,7 +463,9 @@ class NetServer::Impl {
       if (!has_frame) return;
       metrics_.OnFrameReceived(frame.traced());
       metrics_.ObserveSocketWait(OffsetMicros(SteadyNowMicros(), conn->read_stamp_us));
-      HandleFrame(conn, frame);
+      if (const auto what = CaughtException([&] { HandleFrame(conn, frame); })) {
+        ProtocolError(conn, frame.request_id, InternalStatus(*what), NetErrorKind::kInternal);
+      }
     }
   }
 
@@ -469,26 +503,30 @@ class NetServer::Impl {
                 // Worker thread: encode here so the loop only memcpys.
                 // The flush stamp is provisional until the loop patches
                 // it at send time.
-                ServerTiming timing;
-                timing.decode_us = decode_us;
-                timing.enqueue_us = OffsetMicros(stamps.enqueue_us, receive_us);
-                timing.dequeue_us = OffsetMicros(stamps.dequeue_us, receive_us);
-                timing.execute_us = OffsetMicros(stamps.finish_us, receive_us);
-                std::string body;
-                EncodeNwcResponse(response, &body);
-                timing.encode_us = OffsetMicros(SteadyNowMicros(), receive_us);
-                timing.flush_us = timing.encode_us;
-                AppendServerTiming(&body, timing);
-                std::string bytes;
-                AppendFrame(&bytes, MsgType::kNwcResponse, request_id, body,
-                            kEnvelopeFlagTrace);
-                PushCompletion(conn_id, std::move(bytes), /*traced=*/true, receive_us);
+                Complete(conn_id, request_id, [&] {
+                  ServerTiming timing;
+                  timing.decode_us = decode_us;
+                  timing.enqueue_us = OffsetMicros(stamps.enqueue_us, receive_us);
+                  timing.dequeue_us = OffsetMicros(stamps.dequeue_us, receive_us);
+                  timing.execute_us = OffsetMicros(stamps.finish_us, receive_us);
+                  std::string body;
+                  EncodeNwcResponse(response, &body);
+                  timing.encode_us = OffsetMicros(SteadyNowMicros(), receive_us);
+                  timing.flush_us = timing.encode_us;
+                  AppendServerTiming(&body, timing);
+                  Completion completion{0, {}, /*traced=*/true, receive_us};
+                  AppendFrame(&completion.bytes, MsgType::kNwcResponse, request_id, body,
+                              kEnvelopeFlagTrace);
+                  return completion;
+                });
               });
         } else {
           service_.SubmitNwcAsync(
               std::move(request), [this, conn_id, request_id](NwcResponse response) {
                 // Worker thread: encode here so the loop only memcpys.
-                PushCompletion(conn_id, EncodeNwcResponseFrame(request_id, response));
+                Complete(conn_id, request_id, [&] {
+                  return Completion{0, EncodeNwcResponseFrame(request_id, response)};
+                });
               });
         }
         return;
@@ -519,25 +557,29 @@ class NetServer::Impl {
               std::move(request),
               [this, conn_id, request_id, receive_us, decode_us](
                   KnwcResponse response, const AsyncTiming& stamps) {
-                ServerTiming timing;
-                timing.decode_us = decode_us;
-                timing.enqueue_us = OffsetMicros(stamps.enqueue_us, receive_us);
-                timing.dequeue_us = OffsetMicros(stamps.dequeue_us, receive_us);
-                timing.execute_us = OffsetMicros(stamps.finish_us, receive_us);
-                std::string body;
-                EncodeKnwcResponse(response, &body);
-                timing.encode_us = OffsetMicros(SteadyNowMicros(), receive_us);
-                timing.flush_us = timing.encode_us;
-                AppendServerTiming(&body, timing);
-                std::string bytes;
-                AppendFrame(&bytes, MsgType::kKnwcResponse, request_id, body,
-                            kEnvelopeFlagTrace);
-                PushCompletion(conn_id, std::move(bytes), /*traced=*/true, receive_us);
+                Complete(conn_id, request_id, [&] {
+                  ServerTiming timing;
+                  timing.decode_us = decode_us;
+                  timing.enqueue_us = OffsetMicros(stamps.enqueue_us, receive_us);
+                  timing.dequeue_us = OffsetMicros(stamps.dequeue_us, receive_us);
+                  timing.execute_us = OffsetMicros(stamps.finish_us, receive_us);
+                  std::string body;
+                  EncodeKnwcResponse(response, &body);
+                  timing.encode_us = OffsetMicros(SteadyNowMicros(), receive_us);
+                  timing.flush_us = timing.encode_us;
+                  AppendServerTiming(&body, timing);
+                  Completion completion{0, {}, /*traced=*/true, receive_us};
+                  AppendFrame(&completion.bytes, MsgType::kKnwcResponse, request_id, body,
+                              kEnvelopeFlagTrace);
+                  return completion;
+                });
               });
         } else {
           service_.SubmitKnwcAsync(
               std::move(request), [this, conn_id, request_id](KnwcResponse response) {
-                PushCompletion(conn_id, EncodeKnwcResponseFrame(request_id, response));
+                Complete(conn_id, request_id, [&] {
+                  return Completion{0, EncodeKnwcResponseFrame(request_id, response)};
+                });
               });
         }
         return;
@@ -607,7 +649,11 @@ class NetServer::Impl {
       }
       const std::string head = conn->http_head.substr(0, head_end + 4);
       conn->http_head.erase(0, head_end + 4);
-      HandleHttpRequest(conn, head);
+      if (CaughtException([&] { HandleHttpRequest(conn, head); })) {
+        metrics_.OnProtocolError(NetErrorKind::kInternal);
+        HttpRespond(conn, "500 Internal Server Error", "text/plain", "internal error\n",
+                    /*close=*/true);
+      }
     }
   }
 
@@ -800,14 +846,24 @@ class NetServer::Impl {
       if (it == connections_.end() || it->second->dead) continue;  // died first
       Connection* conn = it->second.get();
       --conn->in_flight;
-      if (completion.traced) {
-        // Only the loop knows when the frame starts toward the socket;
-        // the worker left a provisional flush stamp to overwrite.
-        PatchServerTimingFlush(&completion.bytes,
-                               OffsetMicros(SteadyNowMicros(), completion.receive_us));
+      if (completion.internal_error) {
+        metrics_.OnProtocolError(NetErrorKind::kInternal);
+        SendBytes(conn, std::move(completion.bytes));
+        conn->closing = true;
+      } else if (const auto what = CaughtException([&] {
+                   if (completion.traced) {
+                     // Only the loop knows when the frame starts toward
+                     // the socket; the worker left a provisional flush
+                     // stamp to overwrite.
+                     PatchServerTimingFlush(&completion.bytes,
+                                            OffsetMicros(SteadyNowMicros(),
+                                                         completion.receive_us));
+                   }
+                   metrics_.OnFrameSent();
+                   SendBytes(conn, std::move(completion.bytes));
+                 })) {
+        ProtocolError(conn, 0, InternalStatus(*what), NetErrorKind::kInternal);
       }
-      metrics_.OnFrameSent();
-      SendBytes(conn, std::move(completion.bytes));
       FinishOrUpdate(conn);
     }
   }

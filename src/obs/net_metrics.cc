@@ -11,6 +11,7 @@ const char* NetErrorKindName(NetErrorKind kind) {
     case NetErrorKind::kBody: return "body";
     case NetErrorKind::kDirection: return "direction";
     case NetErrorKind::kHttp: return "http";
+    case NetErrorKind::kInternal: return "internal";
   }
   return "unknown";
 }

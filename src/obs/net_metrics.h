@@ -20,9 +20,10 @@ enum class NetErrorKind : uint8_t {
   kBody = 2,       ///< envelope fine, body undecodable
   kDirection = 3,  ///< a response/error frame sent *to* the server
   kHttp = 4,       ///< unparseable or oversized HTTP request
+  kInternal = 5,   ///< handling a request threw (e.g. bad_alloc)
 };
 
-inline constexpr size_t kNetErrorKindCount = 5;
+inline constexpr size_t kNetErrorKindCount = 6;
 
 /// Stable label value for the Prometheus `kind` label.
 const char* NetErrorKindName(NetErrorKind kind);

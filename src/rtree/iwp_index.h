@@ -38,10 +38,12 @@ struct NodePointer {
 /// region (Algorithm 3), plus the overlapping same-depth nodes intersecting
 /// the region, instead of from the root.
 ///
-/// The structure is built over a static tree (the paper's setting); it
-/// must be rebuilt after tree modifications.
+/// The paper builds the structure over a static tree. Its tables hold the
+/// node ids and MBRs of the exact tree they describe, so after the tree
+/// mutates they must be rebuilt (Build) or patched from the previous index
+/// (Update).
 ///
-/// ThreadSafety: immutable after Build() returns — every member is const
+/// ThreadSafety: immutable after Build() or Update() returns — every member is const
 /// and touches no mutable state, so concurrent readers are safe. Per-query
 /// IoCounters passed to WindowQuery() must not be shared across threads.
 class IwpIndex {
@@ -51,6 +53,19 @@ class IwpIndex {
   /// is taken from the parent's child entry, so the tree must be valid in
   /// the ValidateTree sense (entries equal their children's MBRs).
   static IwpIndex Build(const RStarTree& tree);
+
+  /// The index Build(tree) returns, entry for entry, patched from
+  /// `previous` = Build(old_tree) (or an earlier Update) in time that grows
+  /// with the nodes `tree` does not share with `old_tree`. `tree` must have
+  /// been derived from `old_tree` by copy-on-write mutation (RStarTree::
+  /// Clone, Insert, Delete) with `old_tree` alive since: a slot holding the
+  /// same node object in both trees is then unchanged, and a node whose
+  /// entries, MBR or parent changed is a new object. Lists copied
+  /// unchanged: those of every node whose own node, target ancestors and
+  /// same-level overlap peers are all unchanged. Falls back to Build when
+  /// the height or the root changed.
+  static IwpIndex Update(const IwpIndex& previous, const RStarTree& old_tree,
+                         const RStarTree& tree);
 
   /// Backward pointers of `leaf` (lowest first, root last; empty for a
   /// node that is not a leaf of the indexed tree).
@@ -117,6 +132,13 @@ class IwpIndex {
     /// which each owner's pointers were produced.
     static PointerTable FromEntries(size_t slot_count,
                                     const std::vector<std::pair<NodeId, NodePointer>>& entries);
+
+    /// This table resized to `slot_count` slots with the list of every id
+    /// in `owners` (ascending, unique) replaced by its run in `entries`
+    /// (grouped by owner in ascending owner order; an owner without
+    /// entries gets an empty list). Every other list is copied.
+    PointerTable Patched(size_t slot_count, const std::vector<NodeId>& owners,
+                         const std::vector<std::pair<NodeId, NodePointer>>& entries) const;
   };
 
   IwpIndex() = default;

@@ -93,13 +93,14 @@ Status WalkSubtree(const RStarTree& tree, NodeId id, NodeId expected_parent, int
     if (!tree.IsLive(entry.child)) {
       return Status::Internal(StrFormat("node %u references dead child %u", id, entry.child));
     }
-    const Rect actual = tree.node(entry.child).ComputeMbr();
-    if (actual != entry.mbr) {
+    // The child's own checks run first: computing the MBR of a leaf whose
+    // SoA arrays desynced would read past the short array.
+    const Status child_status = WalkSubtree(tree, entry.child, id, expected_level - 1, state);
+    if (!child_status.ok()) return child_status;
+    if (tree.node(entry.child).ComputeMbr() != entry.mbr) {
       return Status::Internal(
           StrFormat("node %u stores a stale MBR for child %u", id, entry.child));
     }
-    const Status child_status = WalkSubtree(tree, entry.child, id, expected_level - 1, state);
-    if (!child_status.ok()) return child_status;
   }
   return Status::Ok();
 }

@@ -46,9 +46,8 @@ class Session {
 
   /// Builder hook for the snapshot layer: adopts an already-built stack.
   /// `iwp` and `grid` may be null (the session then rejects schemes that
-  /// need them); when present they must have been built over / maintained
-  /// in lockstep with `tree`, and `grid` must be frozen (prefix sums
-  /// clean). Performs no validation beyond null checks.
+  /// need them); when present they must describe exactly the objects and
+  /// nodes of `tree`. Performs no validation beyond null checks.
   static Session FromParts(std::unique_ptr<RStarTree> tree, std::unique_ptr<IwpIndex> iwp,
                            std::unique_ptr<DensityGrid> grid);
 

@@ -4,6 +4,7 @@
 #include <mutex>
 #include <utility>
 
+#include "common/stopwatch.h"
 #include "common/string_util.h"
 
 namespace nwc {
@@ -22,8 +23,8 @@ Result<std::unique_ptr<SnapshotStore>> SnapshotStore::Open(RStarTree tree, const
       // the first inserts land (they clamp into the single cell).
       space = Rect{0.0, 0.0, config.session.grid_cell_size, config.session.grid_cell_size};
     }
-    store->writer_grid_ = std::make_unique<DensityGrid>(space, config.session.grid_cell_size,
-                                                        CollectTreeObjects(*store->writer_tree_));
+    store->writer_grid_ = std::make_unique<DensityCounts>(
+        space, config.session.grid_cell_size, CollectTreeObjects(*store->writer_tree_));
   }
   {
     std::lock_guard<std::mutex> lock(store->writer_mu_);
@@ -65,7 +66,9 @@ SnapshotStore::SnapshotRef SnapshotStore::Publish() {
 Status SnapshotStore::ApplyAndPublish(const MutationBatch& batch, ApplyStats* stats,
                                       SnapshotRef* out) {
   std::lock_guard<std::mutex> lock(writer_mu_);
+  Stopwatch apply;
   const Status status = ApplyLocked(batch, stats);
+  last_publish_.apply_us = apply.ElapsedMicros();
   const SnapshotRef ref = PublishLocked();
   if (out != nullptr) *out = ref;
   return status;
@@ -103,13 +106,11 @@ Status SnapshotStore::ApplyLocked(const MutationBatch& batch, ApplyStats* stats)
 }
 
 SnapshotStore::SnapshotRef SnapshotStore::PublishLocked() {
-  uint64_t current_epoch = 0;
   {
     std::lock_guard<std::mutex> lock(publish_mu_);
     if (published_ != nullptr && unpublished_mutations_ == 0) {
       return SnapshotRef{published_, epoch_};
     }
-    current_epoch = epoch_;
   }
 
   // Copy-on-write: the clone shares every node with the writer tree, and
@@ -117,30 +118,37 @@ SnapshotStore::SnapshotRef SnapshotStore::PublishLocked() {
   // hold this epoch across any number of future publishes. published_
   // always holds the latest clone, so a node the writer writes in place
   // was made after the last publish and no reader has ever seen it.
+  Stopwatch step;
   auto tree = std::make_unique<RStarTree>(writer_tree_->Clone());
+  last_publish_.clone_us = step.ElapsedMicros();
 
+  step.Restart();
   std::unique_ptr<IwpIndex> iwp;
   if (config_.session.build_iwp) {
-    const bool first_publish = current_epoch == 0;
-    if (first_publish || mutations_since_iwp_build_ > config_.iwp_staleness_limit) {
-      // Built over the clone — the exact tree this snapshot serves.
+    if (iwp_base_ == nullptr) {
       iwp = std::make_unique<IwpIndex>(IwpIndex::Build(*tree));
-      mutations_since_iwp_build_ = 0;
+    } else if (mutations_since_iwp_build_ > config_.iwp_staleness_limit) {
+      // Patched from the last snapshot that carried an IWP: it pins the
+      // tree that index describes, so every node this clone still shares
+      // with it is unchanged.
+      iwp = std::make_unique<IwpIndex>(
+          IwpIndex::Update(*iwp_base_->iwp(), iwp_base_->tree(), *tree));
     }
     // Else: within the staleness bound the snapshot ships without IWP and
     // the service degrades use_iwp requests (see class comment).
+    if (iwp != nullptr) mutations_since_iwp_build_ = 0;
   }
+  last_publish_.iwp_us = step.ElapsedMicros();
 
+  step.Restart();
   std::unique_ptr<DensityGrid> grid;
-  if (writer_grid_ != nullptr) {
-    // Freeze first so the copy carries clean prefix sums — a published
-    // grid must never rebuild lazily under concurrent readers.
-    writer_grid_->Freeze();
-    grid = std::make_unique<DensityGrid>(*writer_grid_);
-  }
+  if (writer_grid_ != nullptr) grid = std::make_unique<DensityGrid>(*writer_grid_);
+  last_publish_.grid_us = step.ElapsedMicros();
 
+  const bool carries_iwp = iwp != nullptr;
   auto session = std::make_shared<const Session>(
       Session::FromParts(std::move(tree), std::move(iwp), std::move(grid)));
+  if (carries_iwp) iwp_base_ = session;
 
   // The superseded session is released after publish_mu_ is: when no
   // reader pins it, dropping it frees the nodes the writer has since
@@ -154,7 +162,15 @@ SnapshotStore::SnapshotRef SnapshotStore::PublishLocked() {
     unpublished_mutations_ = 0;
     ref = SnapshotRef{published_, epoch_};
   }
+  step.Restart();
+  superseded.reset();
+  last_publish_.teardown_us = step.ElapsedMicros();
   return ref;
+}
+
+SnapshotStore::PublishTiming SnapshotStore::last_publish() const {
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  return last_publish_;
 }
 
 }  // namespace nwc

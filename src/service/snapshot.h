@@ -34,30 +34,40 @@ using MutationBatch = std::vector<Mutation>;
 
 /// Epoch-based copy-on-write snapshot manager over the index stack.
 ///
-/// The store owns a *writer* stack — a mutable R*-tree plus an
-/// incrementally-maintained density grid — and a *published* immutable
-/// Session readers share. Apply() mutates only the writer stack; Publish()
-/// clones it (copy-on-write tree clone, grid copy with frozen prefix sums,
-/// IWP rebuilt or omitted per the staleness bound below) into a fresh
-/// Session and atomically swaps it in under a new epoch number. The tree
-/// clone shares every node with the writer tree; the writer copies a node
-/// before its first write while any snapshot still holds it, so a publish
-/// copies only what the batch touched. Readers that Acquire()d the
-/// previous epoch keep their shared_ptr — and therefore bit-exact answers
-/// for that epoch — until they drop it; the old Session is destroyed when
-/// the last holder releases, which frees only the nodes no later epoch
-/// shares.
+/// The store owns a *writer* stack — a mutable R*-tree plus the density
+/// grid's mutable cell counts — and a *published* immutable Session
+/// readers share. Apply() mutates only the writer stack; Publish() builds
+/// a fresh Session from it and atomically swaps it in under a new epoch
+/// number. A publish costs in proportion to the batch, not to n:
+///  * the tree is a copy-on-write clone that shares every node with the
+///    writer tree; the writer copies a node before its first write while
+///    any snapshot still holds it, so a publish copies only what the batch
+///    touched;
+///  * the IWP tables are patched from the last snapshot that carried them
+///    (IwpIndex::Update): only the lists of nodes the batch replaced, of
+///    leaves below a target ancestor that moved or changed MBR, and of
+///    their same-level overlap peers are recomputed, and the rest are
+///    copied;
+///  * the density grid is published from the counts in one pass that
+///    writes its prefix sums straight into the new, immutable grid.
+/// Readers that Acquire()d the previous epoch keep their shared_ptr — and
+/// therefore bit-exact answers for that epoch — until they drop it; the
+/// old Session is destroyed when the last holder releases, which frees
+/// only the nodes no later epoch shares.
 ///
-/// Lazy IWP rebuild: the IWP pointer tables store node ids and MBRs of the
-/// exact tree they were built over, so *any* structural change invalidates
-/// them — a stale IWP is wrong, not merely slow. Rather than pay the full
-/// O(n) rebuild on every publish, a snapshot published while the number of
-/// mutations since the last IWP build is within `iwp_staleness_limit`
-/// simply carries no IWP (`session->iwp() == nullptr`); QueryService then
-/// degrades use_iwp requests to the SRR+DIP+DEP path, which is bit-exact
-/// for the effective scheme. Once the bound is exceeded, Publish() rebuilds
-/// and the next snapshots carry a fresh IWP again. The default limit of 0
-/// rebuilds on every publish (every snapshot has a fresh IWP).
+/// IWP staleness: the IWP pointer tables store node ids and MBRs of the
+/// exact tree they describe, so *any* structural change invalidates them —
+/// a stale IWP is wrong, not merely slow. A snapshot published while the
+/// number of mutations since the last IWP publish is within
+/// `iwp_staleness_limit` simply carries no IWP (`session->iwp() ==
+/// nullptr`); QueryService then degrades use_iwp requests to the
+/// SRR+DIP+DEP path, which is bit-exact for the effective scheme. Once
+/// the bound is exceeded, Publish() patches the tables across all the
+/// batches since, and the next snapshots carry a fresh IWP again. The
+/// store keeps the last IWP-carrying snapshot alive for that patch, so a
+/// limit above 0 also pins the nodes it no longer shares with the writer.
+/// The default limit of 0 patches on every publish (every snapshot has a
+/// fresh IWP).
 ///
 /// ThreadSafety: Acquire()/epoch() are safe from any thread at any time,
 /// and a SnapshotRef may be dropped on any thread. Apply()/Publish()/
@@ -70,7 +80,7 @@ class SnapshotStore {
   struct Config {
     SessionConfig session;
     /// Mutations a published snapshot may be missing from its IWP before
-    /// Publish() pays the rebuild. 0 = rebuild every publish.
+    /// Publish() patches the tables. 0 = patch every publish.
     size_t iwp_staleness_limit = 0;
 
     Status Validate() const { return session.Validate(); }
@@ -124,8 +134,22 @@ class SnapshotStore {
   /// inserts exist, etc.).
   size_t writer_object_count() const;
 
-  /// Mutations applied since the last IWP build (test/monitoring hook).
+  /// Mutations applied since the last snapshot that carried an IWP
+  /// (test/monitoring hook).
   size_t mutations_since_iwp_build() const;
+
+  /// Wall time of the steps of the last publish, in microseconds. `apply`
+  /// is the batch of the last ApplyAndPublish (0 for a bare Publish);
+  /// `teardown` drops the superseded snapshot (near 0 while a reader pins
+  /// it).
+  struct PublishTiming {
+    uint64_t apply_us = 0;
+    uint64_t clone_us = 0;
+    uint64_t iwp_us = 0;
+    uint64_t grid_us = 0;
+    uint64_t teardown_us = 0;
+  };
+  PublishTiming last_publish() const;
 
   /// True when the store is *configured* to serve this scheme. Unlike
   /// Session::Supports this is epoch-independent: with build_iwp on, a
@@ -150,9 +174,13 @@ class SnapshotStore {
   /// queries; readers don't touch it.
   mutable std::mutex writer_mu_;
   std::unique_ptr<RStarTree> writer_tree_;
-  std::unique_ptr<DensityGrid> writer_grid_;  ///< null when !build_grid
+  std::unique_ptr<DensityCounts> writer_grid_;  ///< null when !build_grid
   size_t unpublished_mutations_ = 0;
   size_t mutations_since_iwp_build_ = 0;
+  /// The last published snapshot that carried an IWP: the base the next
+  /// IWP is patched from. Null before the first publish or without IWP.
+  std::shared_ptr<const Session> iwp_base_;
+  PublishTiming last_publish_;
 
   /// Guards the published (session, epoch) pair; held only for the swap in
   /// Publish() and the copy in Acquire(). The superseded session is

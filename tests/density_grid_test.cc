@@ -132,18 +132,22 @@ TEST(DensityGridTest, FinerGridGivesTighterBounds) {
 
 TEST(DensityGridTest, DynamicInsertAndRemove) {
   std::vector<DataObject> objects = {DataObject{0, Point{5, 5}}};
-  DensityGrid grid(Rect{0, 0, 100, 100}, 10.0, objects);
-  EXPECT_EQ(grid.CountUpperBound(Rect{0, 0, 9, 9}), 1u);
+  DensityCounts counts(Rect{0, 0, 100, 100}, 10.0, objects);
+  EXPECT_EQ(DensityGrid(counts).CountUpperBound(Rect{0, 0, 9, 9}), 1u);
 
-  grid.OnInsert(Point{5.5, 5.5});
-  grid.OnInsert(Point{55, 55});
-  EXPECT_EQ(grid.total_count(), 3u);
-  EXPECT_EQ(grid.CountUpperBound(Rect{0, 0, 9, 9}), 2u);
-  EXPECT_EQ(grid.CountUpperBound(Rect{51, 51, 59, 59}), 1u);
+  counts.OnInsert(Point{5.5, 5.5});
+  counts.OnInsert(Point{55, 55});
+  const DensityGrid grown(counts);
+  EXPECT_EQ(grown.total_count(), 3u);
+  EXPECT_EQ(grown.CountUpperBound(Rect{0, 0, 9, 9}), 2u);
+  EXPECT_EQ(grown.CountUpperBound(Rect{51, 51, 59, 59}), 1u);
 
-  grid.OnRemove(Point{5, 5});
-  EXPECT_EQ(grid.total_count(), 2u);
-  EXPECT_EQ(grid.CountUpperBound(Rect{0, 0, 9, 9}), 1u);
+  counts.OnRemove(Point{5, 5});
+  const DensityGrid shrunk(counts);
+  EXPECT_EQ(shrunk.total_count(), 2u);
+  EXPECT_EQ(shrunk.CountUpperBound(Rect{0, 0, 9, 9}), 1u);
+  // A published grid is immutable: later updates leave it as it was.
+  EXPECT_EQ(grown.CountUpperBound(Rect{0, 0, 9, 9}), 2u);
 }
 
 TEST(DensityGridTest, DynamicUpdatesMatchRebuiltGrid) {
@@ -152,7 +156,7 @@ TEST(DensityGridTest, DynamicUpdatesMatchRebuiltGrid) {
   for (ObjectId i = 0; i < 500; ++i) {
     objects.push_back(DataObject{i, Point{rng.NextDouble(0, 100), rng.NextDouble(0, 100)}});
   }
-  DensityGrid dynamic(Rect{0, 0, 100, 100}, 7.0, objects);
+  DensityCounts dynamic(Rect{0, 0, 100, 100}, 7.0, objects);
 
   // Apply a random churn of inserts/removes to both the dynamic grid and
   // the object list, then compare against a freshly built grid.
@@ -169,13 +173,14 @@ TEST(DensityGridTest, DynamicUpdatesMatchRebuiltGrid) {
       objects.pop_back();
     }
   }
+  const DensityGrid published(dynamic);
   const DensityGrid rebuilt(Rect{0, 0, 100, 100}, 7.0, objects);
-  EXPECT_EQ(dynamic.total_count(), rebuilt.total_count());
+  EXPECT_EQ(published.total_count(), rebuilt.total_count());
   for (int trial = 0; trial < 100; ++trial) {
     const Rect rect = Rect::FromCorners(
         Point{rng.NextDouble(0, 100), rng.NextDouble(0, 100)},
         Point{rng.NextDouble(0, 100), rng.NextDouble(0, 100)});
-    ASSERT_EQ(dynamic.CountUpperBound(rect), rebuilt.CountUpperBound(rect));
+    ASSERT_EQ(published.CountUpperBound(rect), rebuilt.CountUpperBound(rect));
   }
 }
 

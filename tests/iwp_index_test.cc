@@ -208,8 +208,9 @@ struct ReferenceTables {
 };
 
 // The straightforward construction IwpIndex::Build must reproduce: every
-// pointer's MBR recomputed from the target node's entries, and every
-// leaf's ancestors found by walking parent links.
+// pointer's MBR recomputed from the target node's entries, every leaf's
+// ancestors found by walking parent links, and each level's overlap sweep
+// ordered by (min_x, node id).
 ReferenceTables ReferenceBuild(const RStarTree& tree) {
   ReferenceTables tables;
   const int h = tree.height();
@@ -254,8 +255,10 @@ ReferenceTables ReferenceBuild(const RStarTree& tree) {
     for (const NodeId id : by_level[static_cast<size_t>(level)]) {
       boxes.emplace_back(tree.node(id).ComputeMbr(), id);
     }
-    std::sort(boxes.begin(), boxes.end(),
-              [](const auto& a, const auto& b) { return a.first.min_x < b.first.min_x; });
+    std::sort(boxes.begin(), boxes.end(), [](const auto& a, const auto& b) {
+      return a.first.min_x < b.first.min_x ||
+             (a.first.min_x == b.first.min_x && a.second < b.second);
+    });
     for (size_t i = 0; i < boxes.size(); ++i) {
       if (boxes[i].second == tree.root()) continue;
       for (size_t j = i + 1; j < boxes.size(); ++j) {
@@ -363,6 +366,203 @@ TEST(IwpIndexTest, MatchesReferenceAfterMutations) {
     }
   }
   ExpectMatchesReference(tree);
+}
+
+// ---- IwpIndex::Update: patching from the previous snapshot ---------------
+
+// Entry-for-entry equality of two indexes over `tree`: every slot's lists
+// (node ids, MBR bits, order), the pointer counts and StorageBytes.
+void ExpectSameIndex(const IwpIndex& patched, const IwpIndex& built, const RStarTree& tree) {
+  EXPECT_EQ(patched.backward_pointer_count(), built.backward_pointer_count());
+  EXPECT_EQ(patched.overlap_pointer_count(), built.overlap_pointer_count());
+  EXPECT_EQ(patched.StorageBytes(), built.StorageBytes());
+  for (NodeId id = 0; id < tree.node_slot_count() + 2; ++id) {
+    const std::span<const NodePointer> backward = built.BackwardPointers(id);
+    const std::span<const NodePointer> overlaps = built.OverlapPointers(id);
+    ExpectSameTable(patched.BackwardPointers(id), {backward.begin(), backward.end()}, "backward",
+                    id);
+    ExpectSameTable(patched.OverlapPointers(id), {overlaps.begin(), overlaps.end()}, "overlap",
+                    id);
+  }
+}
+
+// Drives a writer tree the way SnapshotStore does: batches mutate the
+// writer, Publish() clones it as the next snapshot and patches the index
+// from the previous snapshot's, which must then equal a fresh Build.
+class PatchHarness {
+ public:
+  PatchHarness(RStarTree tree, std::vector<DataObject> live)
+      : writer_(std::move(tree)),
+        snapshot_(writer_.Clone()),
+        index_(IwpIndex::Build(snapshot_)),
+        live_(std::move(live)) {}
+
+  void Insert(const DataObject& object) {
+    writer_.Insert(object);
+    live_.push_back(object);
+  }
+
+  void DeleteAt(size_t slot) {
+    ASSERT_TRUE(writer_.Delete(live_[slot]).ok());
+    live_[slot] = live_.back();
+    live_.pop_back();
+  }
+
+  // 16 mutations, about half inserts of fresh objects in `area`.
+  void RandomBatch(Rng* rng, const Rect& area) {
+    for (int i = 0; i < 16; ++i) {
+      if (live_.empty() || rng->NextBernoulli(0.5)) {
+        Insert(DataObject{next_id_++, Point{rng->NextDouble(area.min_x, area.max_x),
+                                            rng->NextDouble(area.min_y, area.max_y)}});
+      } else {
+        DeleteAt(static_cast<size_t>(rng->NextUint64(live_.size())));
+      }
+    }
+  }
+
+  void Publish() {
+    RStarTree next = writer_.Clone();
+    IwpIndex patched = IwpIndex::Update(index_, snapshot_, next);
+    ExpectSameIndex(patched, IwpIndex::Build(next), next);
+    snapshot_ = std::move(next);
+    index_ = std::move(patched);
+    ++publishes_;
+  }
+
+  const RStarTree& writer() const { return writer_; }
+  std::vector<DataObject>& live() { return live_; }
+  ObjectId NextId() { return next_id_++; }
+
+ private:
+  RStarTree writer_;
+  RStarTree snapshot_;
+  IwpIndex index_;
+  std::vector<DataObject> live_;
+  ObjectId next_id_ = 1000000;
+  size_t publishes_ = 0;
+};
+
+RTreeOptions SmallNodes(int max_entries) {
+  RTreeOptions options;
+  options.max_entries = max_entries;
+  options.min_entries = max_entries * 2 / 5;
+  return options;
+}
+
+TEST(IwpIndexTest, UpdateMatchesBuildAfterRandomBatches) {
+  for (const int max_entries : {8, 50}) {
+    SCOPED_TRACE(testing::Message() << "max_entries " << max_entries);
+    const std::vector<DataObject> objects = RandomObjects(4000, 91);
+    PatchHarness harness(BulkLoadStr(objects, SmallNodes(max_entries)), objects);
+    Rng rng(92);
+    for (int batch = 0; batch < 60 && !testing::Test::HasFailure(); ++batch) {
+      harness.RandomBatch(&rng, Rect{0, 0, 1000, 1000});
+      harness.Publish();
+    }
+  }
+}
+
+TEST(IwpIndexTest, UpdateMatchesBuildThroughSplitsAndCondense) {
+  const std::vector<DataObject> objects = RandomObjects(800, 93);
+  PatchHarness harness(BulkLoadStr(objects, SmallNodes(8)), objects);
+  const int height = harness.writer().height();
+  const size_t nodes = harness.writer().node_count();
+  Rng rng(94);
+  // Inserts packed into one small area split leaves, then their parents.
+  for (int batch = 0; batch < 25 && !testing::Test::HasFailure(); ++batch) {
+    for (int i = 0; i < 16; ++i) {
+      harness.Insert(DataObject{harness.NextId(),
+                                Point{rng.NextDouble(500, 520), rng.NextDouble(500, 520)}});
+    }
+    harness.Publish();
+  }
+  EXPECT_EQ(harness.writer().height(), height);
+  EXPECT_GT(harness.writer().node_count(), nodes + 40);
+  // Deleting every object of a band underflows its leaves: condense
+  // removes them and reinserts their survivors.
+  const size_t grown = harness.writer().node_count();
+  for (int batch = 0; batch < 40 && !testing::Test::HasFailure(); ++batch) {
+    std::vector<DataObject>& live = harness.live();
+    int deleted = 0;
+    for (size_t i = live.size(); i-- > 0 && deleted < 16;) {
+      if (live[i].pos.x < 400) {
+        harness.DeleteAt(i);
+        ++deleted;
+      }
+    }
+    harness.Publish();
+  }
+  EXPECT_LT(harness.writer().node_count(), grown - 40);
+}
+
+TEST(IwpIndexTest, UpdateMatchesBuildAcrossRootSplitsAndCollapses) {
+  // Fanout 4 and one mutation per publish: the root splits as the tree
+  // grows to height 4 or more and collapses as it drains (Update falls back to
+  // Build on each height change).
+  PatchHarness harness(RStarTree(SmallNodes(4)), {});
+  Rng rng(95);
+  std::set<int> heights;
+  for (int i = 0; i < 300 && !testing::Test::HasFailure(); ++i) {
+    harness.Insert(DataObject{harness.NextId(),
+                              Point{rng.NextDouble(0, 100), rng.NextDouble(0, 100)}});
+    harness.Publish();
+    heights.insert(harness.writer().height());
+  }
+  const int tallest = harness.writer().height();
+  EXPECT_GE(tallest, 4);
+  while (!harness.live().empty() && !testing::Test::HasFailure()) {
+    harness.DeleteAt(static_cast<size_t>(rng.NextUint64(harness.live().size())));
+    harness.Publish();
+    heights.insert(harness.writer().height());
+  }
+  EXPECT_EQ(harness.writer().height(), 0);
+  EXPECT_EQ(heights.size(), static_cast<size_t>(tallest) + 1);
+}
+
+TEST(IwpIndexTest, UpdateMatchesBuildWhenTheRootMbrMoves) {
+  const std::vector<DataObject> objects = RandomObjects(3000, 96);
+  PatchHarness harness(BulkLoadStr(objects, SmallNodes(8)), objects);
+  Rng rng(97);
+  for (int round = 0; round < 12 && !testing::Test::HasFailure(); ++round) {
+    // An insert past the current bounds grows the root MBR...
+    const Rect before = harness.writer().bounds();
+    const double reach = 10.0 * (round + 1);
+    harness.Insert(DataObject{harness.NextId(), Point{before.max_x + reach,
+                                                      rng.NextDouble(0, 1000)}});
+    harness.Insert(DataObject{harness.NextId(), Point{rng.NextDouble(0, 1000),
+                                                      before.min_y - reach}});
+    harness.Publish();
+    EXPECT_NE(harness.writer().bounds(), before);
+    // ...and deleting the extreme objects on every side shrinks it.
+    const Rect grown = harness.writer().bounds();
+    for (int side = 0; side < 4; ++side) {
+      std::vector<DataObject>& live = harness.live();
+      size_t extreme = 0;
+      for (size_t i = 1; i < live.size(); ++i) {
+        const Point a = live[i].pos;
+        const Point b = live[extreme].pos;
+        const bool more = side == 0 ? a.x < b.x : side == 1 ? a.x > b.x : side == 2 ? a.y < b.y
+                                                                                  : a.y > b.y;
+        if (more) extreme = i;
+      }
+      harness.DeleteAt(extreme);
+    }
+    harness.Publish();
+    EXPECT_NE(harness.writer().bounds(), grown);
+  }
+}
+
+TEST(IwpIndexTest, UpdateMatchesBuildAcrossSeveralBatches) {
+  // A stale index patched across up to five batches at once, as the
+  // snapshot store does with a positive IWP staleness limit.
+  const std::vector<DataObject> objects = RandomObjects(4000, 98);
+  PatchHarness harness(BulkLoadStr(objects, SmallNodes(8)), objects);
+  Rng rng(99);
+  for (int publish = 0; publish < 30 && !testing::Test::HasFailure(); ++publish) {
+    const uint64_t batches = 1 + rng.NextUint64(5);
+    for (uint64_t b = 0; b < batches; ++b) harness.RandomBatch(&rng, Rect{0, 0, 1000, 1000});
+    harness.Publish();
+  }
 }
 
 }  // namespace

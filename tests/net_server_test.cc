@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -542,6 +543,72 @@ TEST(NetServer, UpdateOnStaticServerIsFailedPrecondition) {
   ASSERT_TRUE(client.Receive(&reply).ok());
   EXPECT_EQ(reply.type, MsgType::kNwcResponse);
   EXPECT_TRUE(reply.nwc.status.ok()) << reply.nwc.status;
+}
+
+// A backend whose updates throw, as a publish failing with bad_alloc
+// would; queries go to the wrapped service.
+class ThrowingUpdateBackend : public QueryBackend {
+ public:
+  explicit ThrowingUpdateBackend(QueryService& service) : service_(service) {}
+
+  void SubmitNwcAsync(NwcRequest request, std::function<void(NwcResponse)> done) override {
+    service_.SubmitNwcAsync(std::move(request), std::move(done));
+  }
+  void SubmitKnwcAsync(KnwcRequest request, std::function<void(KnwcResponse)> done) override {
+    service_.SubmitKnwcAsync(std::move(request), std::move(done));
+  }
+  void SubmitNwcAsyncTraced(
+      NwcRequest request, std::function<void(NwcResponse, const AsyncTiming&)> done) override {
+    service_.SubmitNwcAsyncTraced(std::move(request), std::move(done));
+  }
+  void SubmitKnwcAsyncTraced(
+      KnwcRequest request, std::function<void(KnwcResponse, const AsyncTiming&)> done) override {
+    service_.SubmitKnwcAsyncTraced(std::move(request), std::move(done));
+  }
+  UpdateResponse ApplyUpdate(const MutationBatch&) override { throw std::bad_alloc(); }
+  MetricsSnapshot SnapshotMetrics() const override { return service_.SnapshotMetrics(); }
+  LatencyHistogram SnapshotLatencyHistogram() const override {
+    return service_.SnapshotLatencyHistogram();
+  }
+  std::vector<std::shared_ptr<const QueryTrace>> SlowTraces() const override {
+    return service_.SlowTraces();
+  }
+
+ private:
+  QueryService& service_;
+};
+
+TEST(NetServer, ThrowingHandlerCostsOnlyItsConnection) {
+  const Session session = OpenTestSession(500);
+  QueryService service(session, ServiceConfig{});
+  ThrowingUpdateBackend backend(service);
+  Result<std::unique_ptr<NetServer>> server = NetServer::Start(backend, NetServerConfig());
+  ASSERT_TRUE(server.ok()) << server.status();
+  NetClient victim = ConnectTo(**server);
+  NetClient bystander = ConnectTo(**server);
+
+  // The exception becomes a typed internal error for that request, and
+  // its connection closes.
+  ASSERT_TRUE(
+      victim.SendUpdate(7, MutationBatch{Mutation::Insert(DataObject{1, Point{0, 0}})}).ok());
+  NetReply reply;
+  ASSERT_TRUE(victim.Receive(&reply).ok());
+  EXPECT_EQ(reply.type, MsgType::kError);
+  EXPECT_EQ(reply.request_id, 7u);
+  EXPECT_EQ(reply.error.code(), StatusCode::kInternal);
+  EXPECT_EQ(victim.Receive(&reply).code(), StatusCode::kUnavailable);  // EOF
+
+  // The server keeps serving everyone else.
+  ASSERT_TRUE(
+      bystander.SendNwc(8, NwcRequest{NwcQuery{Point{5000, 5000}, 300, 300, 3}, {}, 0}).ok());
+  ASSERT_TRUE(bystander.Receive(&reply).ok());
+  ASSERT_EQ(reply.type, MsgType::kNwcResponse);
+  EXPECT_EQ(reply.request_id, 8u);
+  EXPECT_TRUE(reply.nwc.status.ok()) << reply.nwc.status;
+
+  const NetMetricsSnapshot net = (*server)->SnapshotNetMetrics();
+  EXPECT_EQ(net.protocol_errors[static_cast<size_t>(NetErrorKind::kInternal)], 1u);
+  EXPECT_EQ(net.protocol_errors_total(), 1u);
 }
 
 }  // namespace

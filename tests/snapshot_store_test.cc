@@ -8,6 +8,7 @@
 #include <bit>
 #include <future>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -270,11 +271,52 @@ std::vector<uint64_t> DumpTree(const RStarTree& tree) {
   return dump;
 }
 
+// Both IWP tables of `iwp` over `tree`, slot by slot: each list's node
+// ids and MBR bits in order, then the pointer counts.
+std::vector<uint64_t> DumpIwp(const IwpIndex& iwp, const RStarTree& tree) {
+  std::vector<uint64_t> dump;
+  const auto list = [&dump](std::span<const NodePointer> pointers) {
+    dump.push_back(pointers.size());
+    for (const NodePointer& p : pointers) {
+      dump.insert(dump.end(), {p.node, std::bit_cast<uint64_t>(p.mbr.min_x),
+                               std::bit_cast<uint64_t>(p.mbr.min_y),
+                               std::bit_cast<uint64_t>(p.mbr.max_x),
+                               std::bit_cast<uint64_t>(p.mbr.max_y)});
+    }
+  };
+  for (NodeId id = 0; id < tree.node_slot_count(); ++id) {
+    list(iwp.BackwardPointers(id));
+    list(iwp.OverlapPointers(id));
+  }
+  dump.insert(dump.end(), {iwp.backward_pointer_count(), iwp.overlap_pointer_count()});
+  return dump;
+}
+
+// Every cell count of `grid`, whose space starts at `origin`, plus its
+// total.
+std::vector<uint64_t> DumpGrid(const DensityGrid& grid, Point origin) {
+  std::vector<uint64_t> dump = {grid.total_count(), grid.cells_per_axis()};
+  const double cell = grid.cell_size();
+  for (size_t y = 0; y < grid.cells_per_axis(); ++y) {
+    for (size_t x = 0; x < grid.cells_per_axis(); ++x) {
+      dump.push_back(grid.CellCount(
+          Point{origin.x + (static_cast<double>(x) + 0.5) * cell,
+                origin.y + (static_cast<double>(y) + 0.5) * cell}));
+    }
+  }
+  return dump;
+}
+
 TEST(SnapshotStoreTest, PinnedSnapshotIsUntouchedByLaterBatches) {
   std::vector<DataObject> live = UniformObjects(3000, 12);
   auto store = OpenStore(live);
   const SnapshotStore::SnapshotRef pinned = store->Acquire();
-  const std::vector<uint64_t> before = DumpTree(pinned.session->tree());
+  const Session& session = *pinned.session;
+  const std::vector<uint64_t> before = DumpTree(session.tree());
+  // The grid's space is the tree's bounds at open.
+  const Point origin{session.tree().bounds().min_x, session.tree().bounds().min_y};
+  const std::vector<uint64_t> iwp_before = DumpIwp(*session.iwp(), session.tree());
+  const std::vector<uint64_t> grid_before = DumpGrid(*session.grid(), origin);
 
   // Publishes share every untouched node with the pinned epoch; the writer
   // must copy each one before its first write.
@@ -286,10 +328,75 @@ TEST(SnapshotStoreTest, PinnedSnapshotIsUntouchedByLaterBatches) {
   EXPECT_EQ(store->epoch(), 201u);
   EXPECT_TRUE(DumpTree(pinned.session->tree()) == before)
       << "writer batches leaked into a pinned snapshot";
+  EXPECT_TRUE(DumpIwp(*session.iwp(), session.tree()) == iwp_before)
+      << "a later publish rewrote the pinned epoch's IWP tables";
+  EXPECT_TRUE(DumpGrid(*session.grid(), origin) == grid_before)
+      << "a later publish rewrote the pinned epoch's grid";
   EXPECT_TRUE(ValidateTree(pinned.session->tree()).ok());
   const SnapshotStore::SnapshotRef current = store->Acquire();
   EXPECT_TRUE(ValidateTree(current.session->tree()).ok());
   EXPECT_EQ(current.session->tree().size(), live.size());
+}
+
+TEST(SnapshotStoreTest, PublishedIwpMatchesBuildAfterEveryBatch) {
+  // With a staleness limit the patch spans every batch since the last
+  // snapshot that carried an IWP.
+  for (const size_t staleness : {size_t{0}, size_t{40}}) {
+    SCOPED_TRACE(testing::Message() << "iwp_staleness_limit " << staleness);
+    std::vector<DataObject> live = UniformObjects(3000, 16);
+    auto store = OpenStore(live, staleness);
+    Rng rng(17);
+    ObjectId next_id = 100000;
+    size_t carried = 0;
+    for (int b = 0; b < 120; ++b) {
+      ASSERT_TRUE(
+          store->ApplyAndPublish(RandomBatch(&rng, &live, &next_id), nullptr, nullptr).ok());
+      const SnapshotStore::SnapshotRef ref = store->Acquire();
+      if (ref.session->iwp() == nullptr) continue;
+      ++carried;
+      const RStarTree& tree = ref.session->tree();
+      ASSERT_TRUE(DumpIwp(*ref.session->iwp(), tree) == DumpIwp(IwpIndex::Build(tree), tree))
+          << "patched IWP differs from a fresh build after batch " << b;
+    }
+    EXPECT_EQ(carried, staleness == 0 ? 120u : 40u);
+  }
+}
+
+TEST(SnapshotStoreTest, PublishedGridMatchesFreshGridAfterEveryBatch) {
+  const Rect space{0, 0, 100, 100};
+  std::vector<DataObject> live = UniformObjects(2000, 18);
+  SnapshotStore::Config config;
+  config.session.grid_space = space;
+  config.session.grid_cell_size = 5.0;
+  Result<std::unique_ptr<SnapshotStore>> opened =
+      SnapshotStore::Open(BulkLoadStr(live, RTreeOptions{}), config);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  SnapshotStore& store = **opened;
+  Rng rng(19);
+  ObjectId next_id = 100000;
+  for (int b = 0; b < 100; ++b) {
+    MutationBatch batch = RandomBatch(&rng, &live, &next_id);
+    // Inserts past every edge of the space clamp into the boundary cells.
+    const DataObject outside{next_id++, Point{rng.NextDouble(-20, 120), b % 2 == 0 ? -7.5 : 130}};
+    batch.push_back(Mutation::Insert(outside));
+    live.push_back(outside);
+    ASSERT_TRUE(store.ApplyAndPublish(batch, nullptr, nullptr).ok());
+
+    const DensityGrid& published = *store.Acquire().session->grid();
+    const DensityGrid fresh(space, config.session.grid_cell_size, live);
+    ASSERT_TRUE(DumpGrid(published, Point{0, 0}) == DumpGrid(fresh, Point{0, 0}))
+        << "after batch " << b;
+    for (const Point p : {Point{-50, -50}, Point{150, 50}, Point{50, 150}, Point{100, 100}}) {
+      ASSERT_EQ(published.CellCount(p), fresh.CellCount(p));
+    }
+    for (int trial = 0; trial < 50; ++trial) {
+      const Rect rect = Rect::FromCorners(
+          Point{rng.NextDouble(-30, 130), rng.NextDouble(-30, 130)},
+          Point{rng.NextDouble(-30, 130), rng.NextDouble(-30, 130)});
+      ASSERT_EQ(published.CountUpperBound(rect), fresh.CountUpperBound(rect)) << "after batch "
+                                                                             << b;
+    }
+  }
 }
 
 TEST(SnapshotStoreTest, ReaderDropsSnapshotsWhileWriterPublishes) {
