@@ -673,9 +673,6 @@ class NetServer::Impl {
     if (path == "/metrics") {
       std::string body =
           ToPrometheusText(service_.SnapshotMetrics(), service_.SnapshotLatencyHistogram());
-      // Backend-specific series (e.g. a shard router's per-shard families)
-      // slot in between the aggregate and net-layer blocks.
-      service_.AppendPrometheusText(&body);
       AppendNetMetricsText(metrics_.Snapshot(), &body);
       HttpRespond(conn, "200 OK", "text/plain; version=0.0.4", body, close);
     } else if (path == "/healthz") {

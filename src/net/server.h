@@ -33,7 +33,7 @@ struct NetServerConfig {
 };
 
 /// A single-listener epoll TCP server in front of a QueryBackend — the
-/// single-tree QueryService or the spatially sharded ShardRouter.
+/// QueryService in production, a fake in tests.
 ///
 /// One event-loop thread owns every socket (level-triggered epoll,
 /// non-blocking fds) and does no query work: decoded requests are handed

@@ -12,11 +12,11 @@ namespace nwc {
 /// Bounded multi-producer / multi-consumer FIFO queue.
 ///
 /// The queue is the backpressure point of the query service: producers
-/// either block in Push() until a consumer frees a slot, or use TryPush()
-/// and handle the rejection themselves (the service surfaces rejections in
-/// its metrics). Closing the queue wakes every blocked producer and
-/// consumer; consumers drain the remaining items before Pop() returns
-/// false, so no accepted work is dropped by a graceful shutdown.
+/// block in Push() until a consumer frees a slot (the service sheds load
+/// before pushing, see ServiceConfig::shed_queue_depth). Closing the
+/// queue wakes every blocked producer and consumer; consumers drain the
+/// remaining items before Pop() returns false, so no accepted work is
+/// dropped by a graceful shutdown.
 ///
 /// ThreadSafety: every member is safe to call concurrently from any number
 /// of threads; all state is guarded by one internal mutex. This is a
@@ -44,17 +44,6 @@ class MpmcQueue {
     return true;
   }
 
-  /// Non-blocking enqueue. Returns false when the queue is full or closed.
-  bool TryPush(T value) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(value));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
   /// Blocks until an item is available and dequeues it into `out`.
   /// Returns false only when the queue is closed *and* drained.
   bool Pop(T& out) {
@@ -78,8 +67,8 @@ class MpmcQueue {
   /// close, and then sleep through the notification (the store and the
   /// wait are serialized by mu_). Every blocked producer therefore wakes,
   /// re-evaluates, and returns false. The related benign case: Pop()'s
-  /// not_full_.notify_one can be "stolen" when a TryPush grabs the freed
-  /// slot before the woken producer reacquires the lock; the producer
+  /// not_full_.notify_one can be "stolen" when another producer grabs the
+  /// freed slot before the woken producer reacquires the lock; the producer
   /// re-checks the predicate and re-waits, and the next Pop (or Close)
   /// notifies again, so progress is never lost. Regression coverage:
   /// MpmcQueueTest.CloseWakesProducersBlockedOnSaturatedQueue.

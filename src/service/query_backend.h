@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -47,11 +46,6 @@ struct NwcResponse {
   /// True when the response was served from the result cache (all read
   /// counters are then 0 — a hit performs no tree I/O).
   bool result_cache_hit = false;
-  /// True when a sharded backend answered from a subset of its shards
-  /// under the degrade partial-failure policy (see ShardRouter): the
-  /// result is the best over the shards that answered, which may miss the
-  /// true optimum. Always false from a single-instance QueryService.
-  bool degraded = false;
 };
 
 /// Outcome of one kNWC request; see NwcResponse.
@@ -63,7 +57,6 @@ struct KnwcResponse {
   uint64_t window_query_reads = 0;
   uint64_t cache_hits = 0;
   bool result_cache_hit = false;
-  bool degraded = false;
 };
 
 /// Outcome of one ApplyUpdate call (dynamic services only). `epoch` is the
@@ -92,8 +85,8 @@ struct AsyncTiming {
 };
 
 /// What the serving layer needs from a query execution engine — the
-/// interface NetServer is written against, implemented by the single-tree
-/// QueryService and by the spatially sharded ShardRouter. Callback-based
+/// interface NetServer is written against. QueryService implements it;
+/// tests substitute fakes to drive the server's edge cases. Callback-based
 /// submits suit the event loop (done may run synchronously on failure
 /// paths or on an executor thread otherwise); the metrics accessors feed
 /// the /metrics, /varz and /debug/slow admin endpoints.
@@ -121,23 +114,14 @@ class QueryBackend {
   /// Static backends answer FailedPrecondition.
   virtual UpdateResponse ApplyUpdate(const MutationBatch& mutations) = 0;
 
-  /// Aggregated service metrics (a sharded backend sums its shards).
+  /// Aggregated service metrics.
   virtual MetricsSnapshot SnapshotMetrics() const = 0;
 
-  /// The raw latency histogram backing the snapshot's quantiles (a sharded
-  /// backend merges its shards bucket-wise).
+  /// The raw latency histogram backing the snapshot's quantiles.
   virtual LatencyHistogram SnapshotLatencyHistogram() const = 0;
 
   /// Traces retained by the slow-query machinery, oldest first.
   virtual std::vector<std::shared_ptr<const QueryTrace>> SlowTraces() const = 0;
-
-  /// Hook for backend-specific Prometheus series, appended after the
-  /// aggregate families the serving layer renders from SnapshotMetrics()/
-  /// SnapshotLatencyHistogram() (the exposition renderer lives above this
-  /// library in the dependency graph, so the base text is composed there).
-  /// Sharded backends override to emit per-shard series carrying a
-  /// `shard` label; the default appends nothing.
-  virtual void AppendPrometheusText(std::string* out) const { (void)out; }
 };
 
 }  // namespace nwc

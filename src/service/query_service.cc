@@ -13,7 +13,6 @@
 #include "common/string_util.h"
 #include "core/knwc_engine.h"
 #include "core/nwc_engine.h"
-#include "service/batch_planner.h"
 
 namespace nwc {
 
@@ -135,11 +134,11 @@ UpdateResponse QueryService::ApplyUpdate(const MutationBatch& mutations) {
   return response;
 }
 
-bool QueryService::AdmitJob(size_t request_count) {
+bool QueryService::AdmitJob() {
   size_t depth = admitted_depth_.load(std::memory_order_relaxed);
   while (true) {
     if (config_.shed_queue_depth > 0 && depth >= config_.shed_queue_depth) {
-      metrics_.RecordShed(request_count);
+      metrics_.RecordShed();
       return false;
     }
     // One CAS decides check AND increment: a racing submitter either sees
@@ -207,26 +206,19 @@ void CacheInsert(ResultCache& cache, const KnwcQuery& query, const NwcOptions& o
 
 template <typename Response, typename Query, typename Done>
 void QueryService::Execute(size_t worker_index, const Query& query, const NwcOptions& requested,
-                           const RequestTiming& timing, Done done, WindowQueryMemo* memo,
-                           const SessionLease* lease) {
+                           const RequestTiming& timing, Done done) {
   // Dequeue-time queue-depth observation: the submit-side sample alone
   // under-reports bursts, because submitters that would see the peak are
   // the ones blocked on the full queue.
   metrics_.RecordQueueDepth(pool_.QueueDepth());
 
   // Pin one epoch for the whole query (all retry attempts included):
-  // queries never observe a publish mid-flight. Batch groups pass their
-  // own lease so every member — and the shared window memo — sees one
-  // consistent epoch.
-  SessionLease own_lease;
-  if (lease == nullptr) {
-    own_lease = AcquireLease();
-    lease = &own_lease;
-  }
-  const Session& session = *lease->session;
+  // queries never observe a publish mid-flight.
+  const SessionLease lease = AcquireLease();
+  const Session& session = *lease.session;
   // The effective options also key the result cache, so a degraded
   // (IWP-less) answer can never be replayed to a fully-indexed epoch.
-  const NwcOptions options = EffectiveOptions(*lease, requested);
+  const NwcOptions options = EffectiveOptions(lease, requested);
 
   Response response;
   IoCounter total_io;  // merged across attempts for metrics/response
@@ -272,7 +264,7 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
     // first attempt keeps the cache's miss counter one-per-query.
     bool cache_hit = false;
     if (attempt == 0 && result_cache_ != nullptr && !control.ShouldStop() &&
-        CacheLookup(*result_cache_, query, options, &response.result, lease->epoch)) {
+        CacheLookup(*result_cache_, query, options, &response.result, lease.epoch)) {
       cache_hit = true;
       response.status = Status::Ok();
       response.result_cache_hit = true;
@@ -289,7 +281,7 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
     if (!cache_hit) {
       if constexpr (std::is_same_v<Response, NwcResponse>) {
         NwcEngine engine(session.tree(), session.iwp(), session.grid());
-        Result<NwcResult> result = engine.Execute(query, options, &io, trace_ptr, &control, memo);
+        Result<NwcResult> result = engine.Execute(query, options, &io, trace_ptr, &control);
         response.status = result.status();
         if (result.ok()) {
           found = result->found;
@@ -297,7 +289,7 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
         }
       } else {
         KnwcEngine engine(session.tree(), session.iwp(), session.grid());
-        Result<KnwcResult> result = engine.Execute(query, options, &io, trace_ptr, &control, memo);
+        Result<KnwcResult> result = engine.Execute(query, options, &io, trace_ptr, &control);
         response.status = result.status();
         if (result.ok()) {
           found = !result->groups.empty();
@@ -332,7 +324,7 @@ void QueryService::Execute(size_t worker_index, const Query& query, const NwcOpt
     // faulted query would poison it with partial answers, and re-inserting
     // on a hit would churn the LRU for nothing.
     if (result_cache_ != nullptr && !cache_hit && response.status.ok()) {
-      CacheInsert(*result_cache_, query, options, response.result, lease->epoch);
+      CacheInsert(*result_cache_, query, options, response.result, lease.epoch);
     }
 
     response.latency_micros = timer.ElapsedMicros();
@@ -382,7 +374,7 @@ std::future<NwcResponse> QueryService::SubmitNwc(NwcRequest request) {
   // Load shedding: past the watermark, failing fast beats blocking the
   // caller on a queue that is already drowning. AdmitJob decides and
   // reserves the slot in one atomic step.
-  if (!AdmitJob(1)) {
+  if (!AdmitJob()) {
     promise->set_value(FailedResponse<NwcResponse>(
         Status::Unavailable("request shed: queue past the shed watermark")));
     return future;
@@ -410,7 +402,7 @@ std::future<KnwcResponse> QueryService::SubmitKnwc(KnwcRequest request) {
     promise->set_value(FailedResponse<KnwcResponse>(status));
     return future;
   }
-  if (!AdmitJob(1)) {
+  if (!AdmitJob()) {
     promise->set_value(FailedResponse<KnwcResponse>(
         Status::Unavailable("request shed: queue past the shed watermark")));
     return future;
@@ -429,63 +421,6 @@ std::future<KnwcResponse> QueryService::SubmitKnwc(KnwcRequest request) {
   return future;
 }
 
-bool QueryService::TrySubmitNwc(NwcRequest request, std::future<NwcResponse>* out) {
-  auto promise = std::make_shared<std::promise<NwcResponse>>();
-  std::future<NwcResponse> future = promise->get_future();
-  NwcOptions options;
-  const Status status = CheckRequest(request.options, &options);
-  if (!status.ok()) {
-    promise->set_value(FailedResponse<NwcResponse>(status));
-    *out = std::move(future);
-    return true;
-  }
-  const RequestTiming timing = MakeTiming(request.deadline_micros);
-  // TrySubmit never sheds (full-queue fast-fail is its own admission
-  // control) but still occupies a slot, so the watermark keeps counting
-  // every queued job under mixed Try/blocking traffic.
-  TakeJobSlot();
-  const bool accepted = pool_.TrySubmit(
-      [this, query = request.query, options, timing, promise](size_t worker) mutable {
-        ReleaseJobSlot();
-        Execute<NwcResponse>(worker, query, options, timing, FulfillPromise(promise));
-      });
-  if (!accepted) {
-    ReleaseJobSlot();
-    metrics_.RecordRejection();
-    return false;
-  }
-  metrics_.RecordQueueDepth(pool_.QueueDepth());
-  *out = std::move(future);
-  return true;
-}
-
-bool QueryService::TrySubmitKnwc(KnwcRequest request, std::future<KnwcResponse>* out) {
-  auto promise = std::make_shared<std::promise<KnwcResponse>>();
-  std::future<KnwcResponse> future = promise->get_future();
-  NwcOptions options;
-  const Status status = CheckRequest(request.options, &options);
-  if (!status.ok()) {
-    promise->set_value(FailedResponse<KnwcResponse>(status));
-    *out = std::move(future);
-    return true;
-  }
-  const RequestTiming timing = MakeTiming(request.deadline_micros);
-  TakeJobSlot();
-  const bool accepted = pool_.TrySubmit(
-      [this, query = request.query, options, timing, promise](size_t worker) mutable {
-        ReleaseJobSlot();
-        Execute<KnwcResponse>(worker, query, options, timing, FulfillPromise(promise));
-      });
-  if (!accepted) {
-    ReleaseJobSlot();
-    metrics_.RecordRejection();
-    return false;
-  }
-  metrics_.RecordQueueDepth(pool_.QueueDepth());
-  *out = std::move(future);
-  return true;
-}
-
 void QueryService::SubmitNwcAsync(NwcRequest request, std::function<void(NwcResponse)> done) {
   NwcOptions options;
   const Status status = CheckRequest(request.options, &options);
@@ -493,7 +428,7 @@ void QueryService::SubmitNwcAsync(NwcRequest request, std::function<void(NwcResp
     done(FailedResponse<NwcResponse>(status));
     return;
   }
-  if (!AdmitJob(1)) {
+  if (!AdmitJob()) {
     done(FailedResponse<NwcResponse>(
         Status::Unavailable("request shed: queue past the shed watermark")));
     return;
@@ -524,7 +459,7 @@ void QueryService::SubmitKnwcAsync(KnwcRequest request, std::function<void(KnwcR
     done(FailedResponse<KnwcResponse>(status));
     return;
   }
-  if (!AdmitJob(1)) {
+  if (!AdmitJob()) {
     done(FailedResponse<KnwcResponse>(
         Status::Unavailable("request shed: queue past the shed watermark")));
     return;
@@ -555,7 +490,7 @@ void QueryService::SubmitNwcAsyncTraced(
     done(FailedResponse<NwcResponse>(status), AsyncTiming{now, now, now});
     return;
   }
-  if (!AdmitJob(1)) {
+  if (!AdmitJob()) {
     const uint64_t now = SteadyNowMicros();
     done(FailedResponse<NwcResponse>(
              Status::Unavailable("request shed: queue past the shed watermark")),
@@ -596,7 +531,7 @@ void QueryService::SubmitKnwcAsyncTraced(
     done(FailedResponse<KnwcResponse>(status), AsyncTiming{now, now, now});
     return;
   }
-  if (!AdmitJob(1)) {
+  if (!AdmitJob()) {
     const uint64_t now = SteadyNowMicros();
     done(FailedResponse<KnwcResponse>(
              Status::Unavailable("request shed: queue past the shed watermark")),
@@ -646,121 +581,6 @@ std::vector<KnwcResponse> QueryService::RunKnwcBatch(const std::vector<KnwcReque
   responses.reserve(requests.size());
   for (auto& future : futures) responses.push_back(future.get());
   return responses;
-}
-
-namespace {
-
-// The point a request probes at — what batch planning sorts by.
-const Point& QueryPoint(const NwcQuery& query) { return query.q; }
-const Point& QueryPoint(const KnwcQuery& query) { return query.base.q; }
-
-}  // namespace
-
-template <typename Response, typename Request>
-std::vector<std::future<Response>> QueryService::SubmitBatchImpl(
-    const std::vector<Request>& requests) {
-  using Query = std::decay_t<decltype(std::declval<Request>().query)>;
-
-  // Everything a group job needs, owned jointly by the jobs of this batch.
-  // Slots of requests that failed CheckRequest keep a consumed promise and
-  // are simply never planned.
-  struct BatchState {
-    std::vector<Query> queries;
-    std::vector<NwcOptions> options;
-    std::vector<RequestTiming> timings;
-    std::vector<std::promise<Response>> promises;
-  };
-  auto state = std::make_shared<BatchState>();
-  state->queries.reserve(requests.size());
-  state->options.resize(requests.size());
-  state->timings.resize(requests.size());
-  state->promises.resize(requests.size());
-
-  std::vector<std::future<Response>> futures;
-  futures.reserve(requests.size());
-  std::vector<BatchItem> plan_items;
-  plan_items.reserve(requests.size());
-  std::vector<size_t> plan_to_request;
-  plan_to_request.reserve(requests.size());
-
-  for (size_t i = 0; i < requests.size(); ++i) {
-    state->queries.push_back(requests[i].query);
-    futures.push_back(state->promises[i].get_future());
-    const Status status = CheckRequest(requests[i].options, &state->options[i]);
-    if (!status.ok()) {
-      state->promises[i].set_value(FailedResponse<Response>(status));
-      continue;
-    }
-    // Deadlines start now: queue wait and earlier group members count.
-    state->timings[i] = MakeTiming(requests[i].deadline_micros);
-    plan_items.push_back(BatchItem{QueryPoint(requests[i].query), state->options[i]});
-    plan_to_request.push_back(i);
-  }
-
-  // Planning only needs the data bounds for its Z-order normalization, so
-  // a momentary lease suffices here; each group job pins its own epoch.
-  const Rect plan_bounds = AcquireLease().session->tree().bounds();
-  const std::vector<std::vector<size_t>> groups =
-      PlanBatchGroups(plan_items, plan_bounds, config_.batch_group_size);
-
-  for (const std::vector<size_t>& group : groups) {
-    std::vector<size_t> request_indices;
-    request_indices.reserve(group.size());
-    for (const size_t plan_index : group) {
-      request_indices.push_back(plan_to_request[plan_index]);
-    }
-    // Shed admission per group job, shed accounting per request: a group
-    // bounced by the watermark fails each member with a typed Unavailable
-    // and counts indices.size() sheds, so nwc_requests_shed_total stays
-    // comparable between batched and per-query load.
-    if (!AdmitJob(request_indices.size())) {
-      for (const size_t i : request_indices) {
-        state->promises[i].set_value(FailedResponse<Response>(
-            Status::Unavailable("request shed: queue past the shed watermark")));
-      }
-      continue;
-    }
-    // Captured by copy: the rejection path below still needs the indices.
-    const bool accepted =
-        pool_.Submit([this, state, indices = request_indices](size_t worker) {
-          ReleaseJobSlot();
-          // One memo per group: repeated window walks within the group are
-          // answered from memory, and the Z-order visit order keeps the
-          // worker's buffer pool warm across consecutive queries. The
-          // group shares ONE lease — a publish landing mid-group must not
-          // let the memo mix window walks from two different epochs.
-          const SessionLease lease = AcquireLease();
-          WindowQueryMemo memo(config_.window_memo_entries);
-          WindowQueryMemo* memo_ptr = config_.window_memo_entries > 0 ? &memo : nullptr;
-          for (const size_t i : indices) {
-            Execute<Response>(
-                worker, state->queries[i], state->options[i], state->timings[i],
-                [&state, i](Response response) {
-                  state->promises[i].set_value(std::move(response));
-                },
-                memo_ptr, &lease);
-          }
-          metrics_.RecordWindowMemoHits(memo.hits());
-        });
-    if (!accepted) {
-      ReleaseJobSlot();
-      for (const size_t i : request_indices) {
-        state->promises[i].set_value(
-            FailedResponse<Response>(Status::FailedPrecondition("query service is shut down")));
-      }
-    }
-  }
-  return futures;
-}
-
-std::vector<std::future<NwcResponse>> QueryService::SubmitNwcBatch(
-    const std::vector<NwcRequest>& requests) {
-  return SubmitBatchImpl<NwcResponse>(requests);
-}
-
-std::vector<std::future<KnwcResponse>> QueryService::SubmitKnwcBatch(
-    const std::vector<KnwcRequest>& requests) {
-  return SubmitBatchImpl<KnwcResponse>(requests);
 }
 
 MetricsSnapshot QueryService::SnapshotMetrics() const {

@@ -18,7 +18,6 @@
 #include "obs/query_trace.h"
 #include "obs/trace_ring.h"
 #include "rtree/iwp_index.h"
-#include "rtree/queries.h"
 #include "rtree/rstar_tree.h"
 #include "service/query_backend.h"
 #include "service/result_cache.h"
@@ -72,10 +71,9 @@ struct ServiceConfig {
   /// Deadline applied to requests that carry none, measured from *submit*
   /// time so queue wait counts against it; 0 means no default deadline.
   uint64_t default_deadline_micros = 0;
-  /// Load shedding: blocking submits observing a queue at or past this
-  /// depth fail immediately with Unavailable instead of blocking (the
-  /// non-blocking TrySubmits already fail fast at full capacity); 0
-  /// disables shedding.
+  /// Load shedding: submits observing a queue at or past this depth fail
+  /// immediately with Unavailable instead of blocking; 0 disables
+  /// shedding.
   size_t shed_queue_depth = 0;
   /// Transient-fault handling: a query failing with IoError is re-executed
   /// up to this many extra times (exponential backoff below) before the
@@ -95,13 +93,6 @@ struct ServiceConfig {
   /// Shard count of the result cache (>= 1); more shards cut lock
   /// contention between workers hitting the cache concurrently.
   size_t result_cache_shards = 8;
-  /// Largest number of requests a SubmitNwcBatch/SubmitKnwcBatch group
-  /// executes on one worker (0 = unbounded). Smaller groups spread a batch
-  /// across workers; larger groups share more window-query memo state.
-  size_t batch_group_size = 16;
-  /// Entry bound of the per-group window-query memo used by the batch
-  /// APIs; 0 disables memoization within batches.
-  size_t window_memo_entries = 4096;
 
   Status Validate() const;
 };
@@ -124,8 +115,8 @@ struct ServiceConfig {
 /// the shared read-only index stack with strictly per-query mutable state
 /// (IoCounter, engine locals) plus an optional per-worker BufferPool, so
 /// execution is concurrency-correct by construction. Results come back
-/// through std::future; rejected TrySubmits and per-query latency/I/O are
-/// visible in metrics().
+/// through std::future or a completion callback; sheds and per-query
+/// latency/I/O are visible in SnapshotMetrics().
 ///
 /// Snapshots published within the IWP staleness bound carry no IWP; the
 /// service silently degrades a use_iwp request to its SRR+DIP(+DEP)
@@ -135,9 +126,9 @@ struct ServiceConfig {
 /// Shutdown (or destruction) drains accepted requests before returning,
 /// so every future obtained from a successful submit becomes ready.
 ///
-/// ThreadSafety: Submit/TrySubmit/RunBatch, ApplyUpdate and the metrics
-/// accessors may be called from any thread. The Session / SnapshotStore
-/// must outlive the service.
+/// ThreadSafety: the submits, RunNwcBatch/RunKnwcBatch, ApplyUpdate and
+/// the metrics accessors may be called from any thread. The Session /
+/// SnapshotStore must outlive the service.
 class QueryService : public QueryBackend {
  public:
   /// Binds to `session` (not owned, must outlive the service) and starts
@@ -159,11 +150,6 @@ class QueryService : public QueryBackend {
   /// surfaces as a non-OK response status.
   std::future<NwcResponse> SubmitNwc(NwcRequest request);
   std::future<KnwcResponse> SubmitKnwc(KnwcRequest request);
-
-  /// Non-blocking submit. Returns false — and counts a rejection in the
-  /// metrics — when the queue is full; `out` is untouched in that case.
-  bool TrySubmitNwc(NwcRequest request, std::future<NwcResponse>* out);
-  bool TrySubmitKnwc(KnwcRequest request, std::future<KnwcResponse>* out);
 
   /// Callback-based submit for event-loop callers (the network layer):
   /// `done` is invoked exactly once with the response — on a worker thread
@@ -200,25 +186,6 @@ class QueryService : public QueryBackend {
   /// waits for all responses, returned in request order.
   std::vector<NwcResponse> RunNwcBatch(const std::vector<NwcRequest>& requests);
   std::vector<KnwcResponse> RunKnwcBatch(const std::vector<KnwcRequest>& requests);
-
-  /// Batched submission: plans the requests into locality groups — equal
-  /// effective options together, sorted by Z-order of the query point,
-  /// chunked to config().batch_group_size — and runs each group as ONE
-  /// worker job sharing a window-query memo, so nearby queries reuse both
-  /// buffer-pool pages and completed window walks. Returns one future per
-  /// request, index-aligned with `requests`; every future is valid.
-  ///
-  /// Semantics match SubmitNwc per request: deadlines are measured from
-  /// this call (queue wait and any earlier group members count against
-  /// them), CancelAll reaches queued groups, and results are bit-identical
-  /// to individual submission. Groups are admitted against the same shed
-  /// watermark as the single-request submits: a group arriving past the
-  /// watermark fails its requests with typed Unavailable responses and
-  /// counts one shed PER REQUEST (not per job), so nwc_requests_shed_total
-  /// means the same thing under batched and per-query load. Admitted
-  /// groups still block on queue backpressure.
-  std::vector<std::future<NwcResponse>> SubmitNwcBatch(const std::vector<NwcRequest>& requests);
-  std::vector<std::future<KnwcResponse>> SubmitKnwcBatch(const std::vector<KnwcRequest>& requests);
 
   /// Applies `mutations` to the backing SnapshotStore and publishes the
   /// next epoch (synchronously — callers wanting async apply wrap it in
@@ -284,11 +251,10 @@ class QueryService : public QueryBackend {
     uint64_t epoch = 0;
   };
 
-  /// The index stack one query (or one batch group) runs against. In
-  /// static mode `session` points at the bound Session and `snapshot` is
-  /// empty; in dynamic mode `snapshot` pins a published epoch for the
-  /// lease's lifetime and `epoch` keys the result cache. One lease spans a
-  /// whole batch group so its shared window memo never mixes epochs.
+  /// The index stack one query runs against. In static mode `session`
+  /// points at the bound Session and `snapshot` is empty; in dynamic mode
+  /// `snapshot` pins a published epoch for the lease's lifetime and
+  /// `epoch` keys the result cache.
   struct SessionLease {
     std::shared_ptr<const Session> snapshot;
     const Session* session = nullptr;
@@ -319,28 +285,19 @@ class QueryService : public QueryBackend {
   /// default) and the current cancel epoch.
   RequestTiming MakeTiming(uint64_t request_deadline_micros) const;
 
-  /// Atomic shed admission for one pool job carrying `request_count`
-  /// requests. The admitted-job counter (jobs accepted but not yet picked
-  /// up by a worker) is compared against the shed watermark and
-  /// incremented in ONE compare-exchange, so concurrent submitters cannot
-  /// all pass a stale check and overshoot the watermark — the race the old
-  /// copy-pasted `QueueDepth() >= shed_queue_depth` checks had. On
-  /// admission the post-increment depth is recorded as the queue-depth
-  /// sample (the old code re-read QueueDepth() and added 1, double-counting
-  /// racing submitters). On shed, records `request_count` sheds (per
-  /// request, not per job) and returns false.
-  bool AdmitJob(size_t request_count);
+  /// Atomic shed admission for one pool job. The admitted-job counter
+  /// (jobs accepted but not yet picked up by a worker) is compared against
+  /// the shed watermark and incremented in ONE compare-exchange, so
+  /// concurrent submitters cannot all pass a stale check and overshoot the
+  /// watermark. On admission the post-increment depth is recorded as the
+  /// queue-depth sample, so racing submitters are not double-counted. On
+  /// shed, records one shed and returns false.
+  bool AdmitJob();
 
   /// Reverts AdmitJob's slot: called by the worker the moment it picks the
   /// job up, and by submit paths unwinding a job the pool refused. Every
   /// admitted job releases exactly once.
   void ReleaseJobSlot() { admitted_depth_.fetch_sub(1, std::memory_order_relaxed); }
-
-  /// Bypass used by paths that never shed (TrySubmit has its own fast-fail
-  /// at queue capacity): takes a slot unconditionally so the admitted-job
-  /// counter keeps covering ALL queued jobs and the watermark stays
-  /// meaningful under mixed traffic.
-  void TakeJobSlot() { admitted_depth_.fetch_add(1, std::memory_order_relaxed); }
 
   /// Runs one query on a worker: binds the per-worker pool and fault
   /// injector (if any) to a fresh IoCounter, arms a QueryControl from
@@ -349,16 +306,10 @@ class QueryService : public QueryBackend {
   /// retrying transient I/O faults per the config — and fills the response
   /// fields common to both query kinds. Only OK responses populate the
   /// cache. `done` receives the finished response exactly once (promise
-  /// fulfilment or the network layer's completion callback). `memo`
-  /// (batch path) shares window walks within a group.
+  /// fulfilment or the network layer's completion callback).
   template <typename Response, typename Query, typename Done>
   void Execute(size_t worker_index, const Query& query, const NwcOptions& options,
-               const RequestTiming& timing, Done done, WindowQueryMemo* memo = nullptr,
-               const SessionLease* lease = nullptr);
-
-  /// Shared implementation of SubmitNwcBatch/SubmitKnwcBatch.
-  template <typename Response, typename Request>
-  std::vector<std::future<Response>> SubmitBatchImpl(const std::vector<Request>& requests);
+               const RequestTiming& timing, Done done);
 
   // Exactly one of the two is set: the static session, or the snapshot
   // store queries acquire epochs from.

@@ -10,8 +10,7 @@ std::string MetricsSnapshot::ToString() const {
                    static_cast<unsigned long long>(queries),
                    static_cast<unsigned long long>(failures),
                    static_cast<unsigned long long>(not_found));
-  out += StrFormat("rejections: %llu, max queue depth %llu, slow queries %llu\n",
-                   static_cast<unsigned long long>(rejections),
+  out += StrFormat("queue:      max depth %llu, slow queries %llu\n",
                    static_cast<unsigned long long>(max_queue_depth),
                    static_cast<unsigned long long>(slow_queries));
   out += StrFormat(
@@ -34,13 +33,12 @@ std::string MetricsSnapshot::ToString() const {
                    static_cast<unsigned long long>(cache_hits));
   out += StrFormat(
       "caching:    result cache %llu hits / %llu misses / %llu evictions "
-      "(%llu entries, %llu bytes), window memo %llu hits\n",
+      "(%llu entries, %llu bytes)\n",
       static_cast<unsigned long long>(result_cache_hits),
       static_cast<unsigned long long>(result_cache_misses),
       static_cast<unsigned long long>(result_cache_evictions),
       static_cast<unsigned long long>(result_cache_entries),
-      static_cast<unsigned long long>(result_cache_bytes),
-      static_cast<unsigned long long>(window_memo_hits));
+      static_cast<unsigned long long>(result_cache_bytes));
   return out;
 }
 
@@ -50,8 +48,7 @@ std::string MetricsSnapshot::ToJson() const {
                    static_cast<unsigned long long>(queries),
                    static_cast<unsigned long long>(failures),
                    static_cast<unsigned long long>(not_found));
-  out += StrFormat("\"rejections\":%llu,\"slow_queries\":%llu,\"max_queue_depth\":%llu,",
-                   static_cast<unsigned long long>(rejections),
+  out += StrFormat("\"slow_queries\":%llu,\"max_queue_depth\":%llu,",
                    static_cast<unsigned long long>(slow_queries),
                    static_cast<unsigned long long>(max_queue_depth));
   out += StrFormat(
@@ -79,13 +76,12 @@ std::string MetricsSnapshot::ToJson() const {
       static_cast<unsigned long long>(cache_hits));
   out += StrFormat(
       "\"result_cache\":{\"hits\":%llu,\"misses\":%llu,\"evictions\":%llu,"
-      "\"entries\":%llu,\"bytes\":%llu},\"window_memo_hits\":%llu}",
+      "\"entries\":%llu,\"bytes\":%llu}}",
       static_cast<unsigned long long>(result_cache_hits),
       static_cast<unsigned long long>(result_cache_misses),
       static_cast<unsigned long long>(result_cache_evictions),
       static_cast<unsigned long long>(result_cache_entries),
-      static_cast<unsigned long long>(result_cache_bytes),
-      static_cast<unsigned long long>(window_memo_hits));
+      static_cast<unsigned long long>(result_cache_bytes));
   return out;
 }
 
@@ -115,14 +111,9 @@ void ServiceMetrics::RecordQuery(uint64_t latency_micros, const IoCounter& io, S
   }
 }
 
-void ServiceMetrics::RecordRejection() {
+void ServiceMetrics::RecordShed() {
   std::lock_guard<std::mutex> lock(mu_);
-  ++rejections_;
-}
-
-void ServiceMetrics::RecordShed(uint64_t count) {
-  std::lock_guard<std::mutex> lock(mu_);
-  shed_ += count;
+  ++shed_;
 }
 
 void ServiceMetrics::RecordRetry() {
@@ -140,18 +131,12 @@ void ServiceMetrics::RecordSlowQuery() {
   ++slow_queries_;
 }
 
-void ServiceMetrics::RecordWindowMemoHits(uint64_t hits) {
-  std::lock_guard<std::mutex> lock(mu_);
-  window_memo_hits_ += hits;
-}
-
 MetricsSnapshot ServiceMetrics::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snapshot;
   snapshot.queries = queries_;
   snapshot.failures = failures_;
   snapshot.not_found = not_found_;
-  snapshot.rejections = rejections_;
   snapshot.slow_queries = slow_queries_;
   snapshot.cancelled = cancelled_;
   snapshot.deadline_exceeded = deadline_exceeded_;
@@ -170,7 +155,6 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   snapshot.traversal_reads = io_.traversal_reads();
   snapshot.window_query_reads = io_.window_query_reads();
   snapshot.cache_hits = io_.cache_hits();
-  snapshot.window_memo_hits = window_memo_hits_;
   // result_cache_* stay zero here; QueryService::SnapshotMetrics overlays
   // them from the ResultCache (the cache is its own source of truth).
   return snapshot;
@@ -188,7 +172,6 @@ void ServiceMetrics::Reset() {
   queries_ = 0;
   failures_ = 0;
   not_found_ = 0;
-  rejections_ = 0;
   slow_queries_ = 0;
   cancelled_ = 0;
   deadline_exceeded_ = 0;
@@ -196,7 +179,6 @@ void ServiceMetrics::Reset() {
   shed_ = 0;
   retries_ = 0;
   max_queue_depth_ = 0;
-  window_memo_hits_ = 0;
   epoch_ = std::chrono::steady_clock::now();
 }
 

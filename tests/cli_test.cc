@@ -257,6 +257,24 @@ TEST_F(CliPipelineTest, ErrorPaths) {
           "--scheme=plain --format=xml");
   EXPECT_NE(bad_format.exit_code, 0);
   EXPECT_NE(bad_format.output.find("--format"), std::string::npos) << bad_format.output;
+  // A flag the subcommand does not read fails the run instead of being
+  // silently ignored: a typo, a flag of another subcommand, and every flag
+  // of the removed sharding and batch-planner features.
+  const std::string serve_batch = "serve-batch --index=" + *tree_path_ +
+                                  " --queries=/does/not/matter.txt ";
+  const CommandResult typo = RunTool(serve_batch + "--threds=8");
+  EXPECT_NE(typo.exit_code, 0);
+  EXPECT_NE(typo.output.find("unknown flag --threds"), std::string::npos) << typo.output;
+  const CommandResult foreign = RunTool("stats --index=" + *tree_path_ + " --scheme=star");
+  EXPECT_NE(foreign.exit_code, 0);
+  EXPECT_NE(foreign.output.find("unknown flag --scheme"), std::string::npos) << foreign.output;
+  for (const char* removed : {"shards=4", "shard-max-l=400", "shard-max-w=400", "shard-halo=3",
+                              "shard-partial=fail", "fault-shard=0", "router-threads=2",
+                              "batch", "batch-group=16"}) {
+    const CommandResult rejected = RunTool(serve_batch + "--" + removed);
+    EXPECT_NE(rejected.exit_code, 0) << removed;
+    EXPECT_NE(rejected.output.find("unknown flag --"), std::string::npos) << rejected.output;
+  }
   // serve-batch: missing/bad inputs must fail cleanly.
   EXPECT_NE(RunTool("serve-batch --index=" + *tree_path_).exit_code, 0);
   EXPECT_NE(RunTool("serve-batch --index=" + *tree_path_ + " --queries=/does/not/exist.txt")

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/float_bits.h"
 #include "common/rng.h"
 #include "core/brute_force.h"
 #include "core/nwc_engine.h"
@@ -68,27 +69,49 @@ TEST(KnwcEngineTest, RejectsInvalidQueries) {
             StatusCode::kInvalidArgument);
 }
 
+// NWC is kNWC with k = 1 (m is moot with one group): the same members in
+// the same order, the same distance bit for bit, and the same page reads
+// in both phases, for every preset.
 TEST(KnwcEngineTest, KEqualsOneMatchesNwcEngine) {
   Rng rng(11);
-  for (int round = 0; round < 5; ++round) {
+  size_t found = 0;
+  for (int round = 0; round < 20; ++round) {
     Fixture f = MakeFixture(ClusteredObjects(150, 20 + round, 100, 4), Rect{0, 0, 100, 100});
     KnwcEngine kengine(f.tree, &f.iwp, &f.grid);
     NwcEngine engine(f.tree, &f.iwp, &f.grid);
-    for (int trial = 0; trial < 4; ++trial) {
+    for (int trial = 0; trial < 10; ++trial) {
       const NwcQuery base{Point{rng.NextDouble(0, 100), rng.NextDouble(0, 100)},
                           rng.NextDouble(4, 15), rng.NextDouble(4, 15),
                           2 + static_cast<size_t>(rng.NextUint64(4))};
-      const Result<NwcResult> single = engine.Execute(base, NwcOptions::Star(), nullptr);
-      const Result<KnwcResult> multi =
-          kengine.Execute(KnwcQuery{base, 1, 0}, NwcOptions::Star(), nullptr);
-      ASSERT_TRUE(single.ok());
-      ASSERT_TRUE(multi.ok());
-      ASSERT_EQ(single->found, !multi->groups.empty());
-      if (single->found) {
-        EXPECT_NEAR(multi->groups[0].distance, single->distance, 1e-9);
+      for (const NwcOptions& options : AllOptionPresets()) {
+        SCOPED_TRACE(testing::Message() << "round " << round << " trial " << trial << " "
+                                        << (options.use_iwp ? "iwp " : "")
+                                        << (options.use_dep ? "dep " : "")
+                                        << (options.use_dip ? "dip " : "")
+                                        << (options.use_srr ? "srr" : ""));
+        IoCounter single_io;
+        IoCounter multi_io;
+        const Result<NwcResult> single = engine.Execute(base, options, &single_io);
+        const Result<KnwcResult> multi =
+            kengine.Execute(KnwcQuery{base, 1, 0}, options, &multi_io);
+        ASSERT_TRUE(single.ok());
+        ASSERT_TRUE(multi.ok());
+        ASSERT_EQ(single->found, !multi->groups.empty());
+        EXPECT_EQ(single_io.traversal_reads(), multi_io.traversal_reads());
+        EXPECT_EQ(single_io.window_query_reads(), multi_io.window_query_reads());
+        if (!single->found) continue;
+        ++found;
+        ASSERT_EQ(multi->groups.size(), 1u);
+        EXPECT_EQ(DoubleBits(multi->groups[0].distance), DoubleBits(single->distance));
+        std::vector<ObjectId> single_ids;
+        for (const DataObject& obj : single->objects) single_ids.push_back(obj.id);
+        std::vector<ObjectId> multi_ids;
+        for (const DataObject& obj : multi->groups[0].objects) multi_ids.push_back(obj.id);
+        EXPECT_EQ(multi_ids, single_ids);
       }
     }
   }
+  EXPECT_GT(found, 0u);
 }
 
 TEST(KnwcEngineTest, ResultSatisfiesDefinitionProperties) {

@@ -2,7 +2,7 @@
 // by the service design — batch results across 4 workers must be
 // *identical* (bit-for-bit: distances, ids, positions) to single-threaded
 // NwcEngine/KnwcEngine runs over the same session — plus session/option
-// plumbing, shutdown semantics, TrySubmit backpressure, and metrics.
+// plumbing, shutdown semantics, load shedding, and metrics.
 
 #include "service/query_service.h"
 
@@ -218,39 +218,6 @@ TEST(QueryServiceTest, SubmitAfterShutdownFailsGracefully) {
   service.Shutdown();
   const NwcResponse after = service.SubmitNwc(request).get();
   EXPECT_EQ(after.status.code(), StatusCode::kFailedPrecondition);
-  std::future<NwcResponse> unused;
-  EXPECT_FALSE(service.TrySubmitNwc(request, &unused));
-}
-
-TEST(QueryServiceTest, TrySubmitShedsLoadWhenSaturated) {
-  const Session session = OpenTestSession(4000);
-  ServiceConfig config;
-  config.num_threads = 1;
-  config.queue_capacity = 1;  // one in flight + one waiting
-  QueryService service(session, config);
-
-  // Expensive queries (large n + plain scheme) keep the single worker busy
-  // while we hammer TrySubmit; with capacity 1 a rejection must occur long
-  // before the cap.
-  NwcRequest heavy;
-  heavy.query = NwcQuery{Point{5000, 5000}, 500, 500, 24};
-  heavy.options = NwcOptions::Plain();
-
-  std::vector<std::future<NwcResponse>> accepted;
-  bool rejected = false;
-  for (int i = 0; i < 10000 && !rejected; ++i) {
-    std::future<NwcResponse> future;
-    if (service.TrySubmitNwc(heavy, &future)) {
-      accepted.push_back(std::move(future));
-    } else {
-      rejected = true;
-    }
-  }
-  EXPECT_TRUE(rejected) << "bounded queue should shed load under a slow worker";
-  for (auto& future : accepted) {
-    EXPECT_TRUE(future.get().status.ok());
-  }
-  EXPECT_GE(service.SnapshotMetrics().rejections, 1u);
 }
 
 TEST(QueryServiceTest, ConcurrentSubmittersNeverAdmitPastTheShedWatermark) {
@@ -305,57 +272,6 @@ TEST(QueryServiceTest, ConcurrentSubmittersNeverAdmitPastTheShedWatermark) {
   // The regression signal: the old racy checks let the admitted depth
   // overshoot; the CAS caps it at the watermark exactly.
   EXPECT_LE(metrics.max_queue_depth, config.shed_queue_depth);
-}
-
-TEST(QueryServiceBatchTest, ShedBatchGroupCountsOneShedPerRequest) {
-  // A shed group job carries many requests; accounting is per request so
-  // the shed totals stay comparable between the batch and single-submit
-  // paths (one shed == one query that never ran, either way).
-  const Session session = OpenTestSession(500);
-  ServiceConfig config;
-  config.num_threads = 1;
-  config.queue_capacity = 8;
-  config.shed_queue_depth = 1;
-  config.batch_group_size = 0;  // identical requests collapse to one group
-  // The occupying query below holds the single worker for its whole
-  // (spiked) runtime, keeping the follow-up job queued past the batch
-  // submission.
-  config.fault_plan = FaultPlan::LatencySpike(1, 300);
-  QueryService service(session, config);
-
-  NwcRequest request;
-  request.query = NwcQuery{Point{5000, 5000}, 200, 200, 3};
-  request.options = NwcOptions::Plain();
-
-  // First submit occupies the worker; a second admitted submit then sits
-  // in the queue and pins the admitted depth at the watermark. Until the
-  // worker picks the first job up its slot is still held, so the second
-  // submit may shed a few times first — a shed future is resolved before
-  // SubmitNwc returns, which tells the two outcomes apart without
-  // blocking on the (spiked, hence long-running) occupying query.
-  std::future<NwcResponse> occupying = service.SubmitNwc(request);
-  std::future<NwcResponse> queued;
-  uint64_t presheds = 0;
-  while (true) {
-    queued = service.SubmitNwc(request);
-    if (queued.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-      ASSERT_EQ(queued.get().status.code(), StatusCode::kUnavailable);
-      ++presheds;
-      continue;
-    }
-    break;
-  }
-
-  const std::vector<NwcRequest> batch(5, request);
-  std::vector<std::future<NwcResponse>> futures = service.SubmitNwcBatch(batch);
-  ASSERT_EQ(futures.size(), batch.size());
-  for (auto& future : futures) {
-    EXPECT_EQ(future.get().status.code(), StatusCode::kUnavailable);
-  }
-  EXPECT_EQ(service.SnapshotMetrics().shed, presheds + batch.size())
-      << "one shed group job of 5 requests must count 5 sheds";
-  EXPECT_TRUE(occupying.get().status.ok());
-  EXPECT_TRUE(queued.get().status.ok());
 }
 
 TEST(QueryServiceTest, RunBatchPreservesRequestOrder) {
@@ -525,162 +441,82 @@ TEST(QueryServiceTest, MaxIntBackoffConfigFailsWithinTheDeadline) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 1000);
 }
 
-TEST(QueryServiceBatchTest, SubmitBatchMatchesSequentialEnginesBitExact) {
-  const Session session = OpenTestSession();
-  ServiceConfig config;
-  config.num_threads = 4;
-  config.batch_group_size = 8;
-  QueryService service(session, config);
-
-  const std::vector<NwcRequest> nwc_requests = SeededNwcRequests(120);
-  const std::vector<KnwcRequest> knwc_requests = SeededKnwcRequests(60);
-
-  std::vector<std::future<NwcResponse>> nwc_futures = service.SubmitNwcBatch(nwc_requests);
-  std::vector<std::future<KnwcResponse>> knwc_futures = service.SubmitKnwcBatch(knwc_requests);
-  ASSERT_EQ(nwc_futures.size(), nwc_requests.size());
-  ASSERT_EQ(knwc_futures.size(), knwc_requests.size());
-
-  NwcEngine nwc_engine(session.tree(), session.iwp(), session.grid());
-  for (size_t i = 0; i < nwc_requests.size(); ++i) {
-    ASSERT_TRUE(nwc_futures[i].valid()) << "request " << i;
-    const NwcResponse response = nwc_futures[i].get();
-    const NwcOptions options = nwc_requests[i].options.value_or(config.default_options);
-    const Result<NwcResult> expected =
-        nwc_engine.Execute(nwc_requests[i].query, options, nullptr);
-    ASSERT_TRUE(expected.ok()) << "request " << i;
-    ASSERT_TRUE(response.status.ok()) << "request " << i << ": " << response.status;
-    ASSERT_EQ(response.result.found, expected->found) << "request " << i;
-    if (expected->found) {
-      EXPECT_EQ(response.result.distance, expected->distance) << "request " << i;
-      ExpectSameObjects(response.result.objects, expected->objects, i);
-    }
-  }
-
-  KnwcEngine knwc_engine(session.tree(), session.iwp(), session.grid());
-  for (size_t i = 0; i < knwc_requests.size(); ++i) {
-    ASSERT_TRUE(knwc_futures[i].valid()) << "request " << i;
-    const KnwcResponse response = knwc_futures[i].get();
-    const NwcOptions options = knwc_requests[i].options.value_or(config.default_options);
-    const Result<KnwcResult> expected =
-        knwc_engine.Execute(knwc_requests[i].query, options, nullptr);
-    ASSERT_TRUE(expected.ok()) << "request " << i;
-    ASSERT_TRUE(response.status.ok()) << "request " << i;
-    ASSERT_EQ(response.result.groups.size(), expected->groups.size()) << "request " << i;
-    for (size_t g = 0; g < expected->groups.size(); ++g) {
-      EXPECT_EQ(response.result.groups[g].distance, expected->groups[g].distance)
-          << "request " << i << " group " << g;
-      ExpectSameObjects(response.result.groups[g].objects, expected->groups[g].objects, i);
-    }
-  }
-
-  const MetricsSnapshot metrics = service.SnapshotMetrics();
-  EXPECT_EQ(metrics.queries, nwc_requests.size() + knwc_requests.size());
-  EXPECT_EQ(metrics.failures, 0u);
-}
-
-TEST(QueryServiceBatchTest, BatchGroupsShareTheWindowMemo) {
-  const Session session = OpenTestSession(2000);
-  ServiceConfig config;
-  config.num_threads = 2;
-  config.batch_group_size = 0;  // one group per preset: maximal sharing
-  QueryService service(session, config);
-
-  // The same query repeated re-runs identical window probes; within a
-  // group the memo must absorb the repeats.
-  std::vector<NwcRequest> requests;
-  for (size_t i = 0; i < 12; ++i) {
-    requests.push_back(NwcRequest{NwcQuery{Point{5000, 5000}, 300, 300, 4}, {}});
-  }
-  std::vector<std::future<NwcResponse>> futures = service.SubmitNwcBatch(requests);
-  for (auto& future : futures) {
-    ASSERT_TRUE(future.get().status.ok());
-  }
-  // The group's memo-hit total is recorded when the worker finishes the
-  // whole group, which can be momentarily after the last future resolves;
-  // drain the workers before reading the metric.
-  service.Shutdown();
-  EXPECT_GT(service.SnapshotMetrics().window_memo_hits, 0u)
-      << "identical queries in one group must reuse memoized window walks";
-}
-
-TEST(QueryServiceBatchTest, EmptyAndInvalidBatchRequestsResolveEveryFuture) {
-  const Session session = OpenTestSession(500);
-  QueryService service(session, ServiceConfig{.num_threads = 2});
-
-  EXPECT_TRUE(service.SubmitNwcBatch({}).empty());
-
-  std::vector<NwcRequest> requests;
-  requests.push_back(NwcRequest{NwcQuery{Point{5000, 5000}, 200, 200, 4}, {}});
-  requests.push_back(NwcRequest{});  // invalid: n == 0, zero window
-  requests.push_back(NwcRequest{NwcQuery{Point{4000, 4000}, 200, 200, 3}, {}});
-
-  std::vector<std::future<NwcResponse>> futures = service.SubmitNwcBatch(requests);
-  ASSERT_EQ(futures.size(), 3u);
-  EXPECT_TRUE(futures[0].get().status.ok());
-  EXPECT_EQ(futures[1].get().status.code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(futures[2].get().status.ok());
-}
-
-TEST(QueryServiceBatchTest, BatchAfterShutdownFailsEveryFutureGracefully) {
-  const Session session = OpenTestSession(500);
-  QueryService service(session, ServiceConfig{.num_threads = 2});
-  service.Shutdown();
-
-  std::vector<NwcRequest> requests(3, NwcRequest{NwcQuery{Point{5000, 5000}, 200, 200, 4}, {}});
-  std::vector<std::future<NwcResponse>> futures = service.SubmitNwcBatch(requests);
-  ASSERT_EQ(futures.size(), 3u);
-  for (auto& future : futures) {
-    EXPECT_EQ(future.get().status.code(), StatusCode::kFailedPrecondition);
-  }
-}
-
-TEST(QueryServiceBatchTest, ConcurrentBatchesWithCacheAndPoolsStayExact) {
-  // TSan-facing stress: several client threads push overlapping batches
-  // through a cached service with per-worker buffer pools — the shared
-  // result cache, the per-group memos, and the metrics all take
-  // concurrent traffic. Results are checked against a sequential engine.
+TEST(QueryServiceTest, ConcurrentClientsWithCacheAndPoolsStayExact) {
+  // TSan-facing stress: several client threads submit overlapping NWC and
+  // kNWC requests through a cached service with per-worker buffer pools,
+  // so the shared result cache, the pools and the metrics all take
+  // concurrent traffic. Results are checked against sequential engines.
   const Session session = OpenTestSession(2000);
   ServiceConfig config;
   config.num_threads = 4;
   config.worker_pool_pages = 64;
   config.result_cache_bytes = 4 << 20;
-  config.batch_group_size = 8;
   QueryService service(session, config);
 
-  const std::vector<NwcRequest> requests = SeededNwcRequests(48);
-  NwcEngine engine(session.tree(), session.iwp(), session.grid());
-  std::vector<Result<NwcResult>> expected;
-  for (const NwcRequest& request : requests) {
-    expected.push_back(engine.Execute(
-        request.query, request.options.value_or(config.default_options), nullptr));
-    ASSERT_TRUE(expected.back().ok());
+  const std::vector<NwcRequest> nwc_requests = SeededNwcRequests(48);
+  const std::vector<KnwcRequest> knwc_requests = SeededKnwcRequests(16);
+  const NwcEngine nwc_engine(session.tree(), session.iwp(), session.grid());
+  std::vector<NwcResult> nwc_expected;
+  for (const NwcRequest& request : nwc_requests) {
+    Result<NwcResult> result = nwc_engine.Execute(
+        request.query, request.options.value_or(config.default_options), nullptr);
+    ASSERT_TRUE(result.ok());
+    nwc_expected.push_back(std::move(result).value());
+  }
+  const KnwcEngine knwc_engine(session.tree(), session.iwp(), session.grid());
+  std::vector<KnwcResult> knwc_expected;
+  for (const KnwcRequest& request : knwc_requests) {
+    Result<KnwcResult> result = knwc_engine.Execute(
+        request.query, request.options.value_or(config.default_options), nullptr);
+    ASSERT_TRUE(result.ok());
+    knwc_expected.push_back(std::move(result).value());
   }
 
   constexpr int kClients = 4;
+  constexpr int kRounds = 3;
   std::vector<std::thread> clients;
   std::atomic<int> mismatches{0};
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&] {
-      for (int round = 0; round < 3; ++round) {
-        std::vector<std::future<NwcResponse>> futures = service.SubmitNwcBatch(requests);
-        for (size_t i = 0; i < futures.size(); ++i) {
-          const NwcResponse response = futures[i].get();
-          if (!response.status.ok() || response.result.found != (*expected[i]).found ||
-              (response.result.found &&
-               response.result.distance != (*expected[i]).distance)) {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::future<NwcResponse>> nwc_futures;
+        for (const NwcRequest& request : nwc_requests) {
+          nwc_futures.push_back(service.SubmitNwc(request));
+        }
+        std::vector<std::future<KnwcResponse>> knwc_futures;
+        for (const KnwcRequest& request : knwc_requests) {
+          knwc_futures.push_back(service.SubmitKnwc(request));
+        }
+        for (size_t i = 0; i < nwc_futures.size(); ++i) {
+          const NwcResponse response = nwc_futures[i].get();
+          const NwcResult& want = nwc_expected[i];
+          if (!response.status.ok() || response.result.found != want.found ||
+              (want.found && (response.result.distance != want.distance ||
+                              response.result.objects != want.objects))) {
             mismatches.fetch_add(1);
           }
+        }
+        for (size_t i = 0; i < knwc_futures.size(); ++i) {
+          const KnwcResponse response = knwc_futures[i].get();
+          const KnwcResult& want = knwc_expected[i];
+          bool same =
+              response.status.ok() && response.result.groups.size() == want.groups.size();
+          for (size_t g = 0; same && g < want.groups.size(); ++g) {
+            same = response.result.groups[g].distance == want.groups[g].distance &&
+                   response.result.groups[g].objects == want.groups[g].objects;
+          }
+          if (!same) mismatches.fetch_add(1);
         }
       }
     });
   }
   for (std::thread& client : clients) client.join();
-  service.Shutdown();  // drain group jobs so per-group metrics are final
 
   EXPECT_EQ(mismatches.load(), 0);
   const MetricsSnapshot metrics = service.SnapshotMetrics();
-  EXPECT_EQ(metrics.queries, static_cast<uint64_t>(kClients) * 3 * requests.size());
-  EXPECT_GT(metrics.result_cache_hits, 0u) << "repeated batches must hit the shared cache";
+  const uint64_t per_round = nwc_requests.size() + knwc_requests.size();
+  EXPECT_EQ(metrics.queries, static_cast<uint64_t>(kClients) * kRounds * per_round);
+  EXPECT_GT(metrics.result_cache_hits, 0u) << "repeated requests must hit the shared cache";
 }
 
 TEST(QueryServiceTest, EmptyTreeSessionServesNotFound) {

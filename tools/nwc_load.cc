@@ -21,7 +21,8 @@
 //
 // Without --scheme/--measure requests carry no option override and run
 // under the server's default preset. Exit code 0 when every request was
-// answered (typed error responses included), 1 otherwise.
+// answered (typed error responses included), 1 otherwise; an unknown flag
+// fails the run before any request is sent.
 //
 // --trace sets the envelope trace bit on every request: the server
 // annotates each response with its pipeline timestamps and the report
@@ -35,8 +36,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -45,86 +44,29 @@
 #include "net/load_gen.h"
 #include "service/workload.h"
 
+#include "cli_args.h"
+
 namespace nwc {
 namespace {
-
-// --key=value argument bag (same convention as nwc_tool).
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--", 2) != 0) continue;
-      const char* eq = std::strchr(arg, '=');
-      if (eq == nullptr) {
-        values_[std::string(arg + 2)] = "true";
-      } else {
-        values_[std::string(arg + 2, eq)] = std::string(eq + 1);
-      }
-    }
-  }
-
-  std::string Get(const std::string& key, const std::string& fallback = "") const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
-  }
-  long GetLong(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtol(it->second.c_str(), nullptr, 10);
-  }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 int Fail(const std::string& message) {
   std::fprintf(stderr, "error: %s\n", message.c_str());
   return 1;
 }
 
+/// The --scheme/--measure override, or none when neither flag is given.
 Result<std::optional<NwcOptions>> ParseOptionOverride(const Args& args) {
   if (!args.Has("scheme") && !args.Has("measure")) return std::optional<NwcOptions>{};
-  NwcOptions options = NwcOptions::Star();
-  const std::string scheme = args.Get("scheme", "star");
-  if (scheme == "plain") {
-    options = NwcOptions::Plain();
-  } else if (scheme == "srr") {
-    options = NwcOptions::Srr();
-  } else if (scheme == "dip") {
-    options = NwcOptions::Dip();
-  } else if (scheme == "dep") {
-    options = NwcOptions::Dep();
-  } else if (scheme == "iwp") {
-    options = NwcOptions::Iwp();
-  } else if (scheme == "plus") {
-    options = NwcOptions::Plus();
-  } else if (scheme == "star") {
-    options = NwcOptions::Star();
-  } else {
-    return Status::InvalidArgument("unknown --scheme " + scheme);
-  }
-  const std::string measure = args.Get("measure", "nearest");
-  if (measure == "min") {
-    options.measure = DistanceMeasure::kMin;
-  } else if (measure == "max") {
-    options.measure = DistanceMeasure::kMax;
-  } else if (measure == "avg") {
-    options.measure = DistanceMeasure::kAvg;
-  } else if (measure == "nearest") {
-    options.measure = DistanceMeasure::kNearestWindow;
-  } else {
-    return Status::InvalidArgument("unknown --measure " + measure);
-  }
-  return std::optional<NwcOptions>{options};
+  Result<NwcOptions> options = ParseSchemeFlags(args);
+  if (!options.ok()) return options.status();
+  return std::optional<NwcOptions>{*options};
 }
 
 int Run(int argc, char** argv) {
-  const Args args(argc, argv, 1);
+  const Args args(argc, argv, 1,
+                  {{"port", "host", "qps", "connections", "pipeline", "duration", "deadline-us",
+                    "queries", "synthetic", "seed", "scheme", "measure", "trace"}});
+  if (!args.status().ok()) return Fail(args.status().message());
   if (!args.Has("port")) {
     std::fprintf(stderr,
                  "usage: nwc_load --port=PORT [--host=H] [--qps=N] [--connections=N]\n"

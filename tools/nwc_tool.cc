@@ -20,8 +20,8 @@
 //            [--metrics-json=F.json] [--prom=F.prom]
 //            [--trace-dir=DIR] [--slow-us=N] [--trace-ring=32]
 //            [--deadline-us=N] [--inject-faults=SPEC] [--shed-watermark=N]
-//            [--retries=N] [--retry-backoff-us=100]
-//            [--cache-mb=N] [--batch] [--batch-group=16]
+//            [--retries=N] [--retry-backoff-us=100] [--cache-mb=N]
+//            [--mutations=F.txt] [--mutate-every=N] [--iwp-staleness=N]
 //       Replay a query file through the concurrent QueryService across N
 //       worker threads and print a metrics report (throughput, latency
 //       quantiles, merged per-phase I/O). The query file holds one query
@@ -40,13 +40,9 @@
 //       fault_injector.h); --shed-watermark sheds blocking submits past
 //       that queue depth; --retries / --retry-backoff-us retry transient
 //       I/O faults with exponential backoff.
-//       Caching & batching: --cache-mb gives the service a sharded result
-//       cache of that many MiB (repeat queries answer from it with zero
-//       tree reads; the metrics report shows hits/misses/evictions);
-//       --batch submits the whole file through SubmitNwcBatch /
-//       SubmitKnwcBatch, which groups compatible queries by Z-order
-//       locality (at most --batch-group per group) so each worker reuses
-//       memoized window walks. Results are bit-identical either way.
+//       Caching: --cache-mb gives the service a sharded result cache of
+//       that many MiB (repeat queries answer from it with zero tree
+//       reads; the metrics report shows hits/misses/evictions).
 //       Dynamic data: --mutations=F.txt replays a mutation file (one
 //       "insert ID X Y" / "delete ID X Y" per line, "---" closing a
 //       batch) interleaved with the query stream through an MVCC
@@ -54,22 +50,14 @@
 //       after every --mutate-every queries (default: spread evenly).
 //       --iwp-staleness=N lets published snapshots omit the IWP for up
 //       to N mutations since its last build (queries degrade to
-//       SRR+DIP+DEP for those epochs). Incompatible with --batch (the
-//       batch planner snapshots the whole file up front).
-//       Sharded serving: --shards=N splits the tree into N Z-order range
-//       shards behind a ShardRouter (one session + service per shard).
-//       Requires --shard-max-l/--shard-max-w (upper bounds on any query's
-//       window dims; larger queries are rejected). --shard-halo=F scales
-//       the halo replication band, --shard-partial=<fail|degrade> picks
-//       the partial-failure policy, and --fault-shard=S scopes
-//       --inject-faults to one shard. Incompatible with --batch (the
-//       planned batch APIs are single-tree).
+//       SRR+DIP+DEP for those epochs).
 //   serve    --index=F.nwctree [--host=127.0.0.1] [--port=0]
 //            [--threads=4] [--queue=256] [--scheme=...] [--measure=...]
 //            [--no-iwp] [--no-grid] [--max-frame-bytes=1048576]
 //            [--deadline-us=N] [--shed-watermark=N] [--cache-mb=N]
 //            [--dynamic] [--iwp-staleness=N]
 //            [--metrics-json=F.json] [--prom=F.prom]
+//            (plus the other service flags of serve-batch)
 //       Serve NWC/kNWC queries over TCP (the binary frame protocol of
 //       src/net/wire.h) until SIGINT/SIGTERM, then drain gracefully:
 //       stop accepting, finish in-flight queries (deadlines still
@@ -85,10 +73,6 @@
 //       kUpdateRequest frames (insert/delete batches); each batch
 //       publishes a new epoch that later queries observe while in-flight
 //       ones keep their snapshot. --iwp-staleness as in serve-batch.
-//       --shards=N (with --shard-max-l/--shard-max-w and the other
-//       --shard-* knobs, as in serve-batch) serves from a ShardRouter
-//       over N Z-order range shards; /metrics then includes per-shard
-//       nwc_shard_* series alongside the aggregated families.
 //   trace    --index=F.nwctree --q=X,Y --l=L --w=W --n=N [--k=K --m=M]
 //            [--scheme=...] [--measure=...] [--data=F.csv]
 //            [--format=<chrome|jsonl>] [--out=F.json]
@@ -97,6 +81,8 @@
 //       chrome://tracing) or JSONL for scripts. Without --out the trace
 //       goes to stdout; with --out a human summary (spans, pruning
 //       counters, per-phase reads) is printed instead.
+//
+// Every subcommand rejects a flag it does not read ("unknown flag --X").
 //
 // Example session:
 //   nwc_tool generate --kind=ca --out=/tmp/ca.csv
@@ -111,12 +97,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -141,84 +125,16 @@
 #include "rtree/validate.h"
 #include "service/query_service.h"
 #include "service/session.h"
-#include "service/shard_router.h"
 #include "service/workload.h"
+
+#include "cli_args.h"
 
 namespace nwc {
 namespace {
 
-// --key=value argument bag.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--", 2) != 0) continue;
-      const char* eq = std::strchr(arg, '=');
-      if (eq == nullptr) {
-        values_[std::string(arg + 2)] = "true";
-      } else {
-        values_[std::string(arg + 2, eq)] = std::string(eq + 1);
-      }
-    }
-  }
-
-  std::string Get(const std::string& key, const std::string& fallback = "") const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
-  }
-  long GetLong(const std::string& key, long fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtol(it->second.c_str(), nullptr, 10);
-  }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
 int Fail(const std::string& message) {
   std::fprintf(stderr, "error: %s\n", message.c_str());
   return 1;
-}
-
-Result<NwcOptions> ParseOptions(const Args& args) {
-  NwcOptions options;
-  const std::string scheme = args.Get("scheme", "star");
-  if (scheme == "plain") {
-    options = NwcOptions::Plain();
-  } else if (scheme == "srr") {
-    options = NwcOptions::Srr();
-  } else if (scheme == "dip") {
-    options = NwcOptions::Dip();
-  } else if (scheme == "dep") {
-    options = NwcOptions::Dep();
-  } else if (scheme == "iwp") {
-    options = NwcOptions::Iwp();
-  } else if (scheme == "plus") {
-    options = NwcOptions::Plus();
-  } else if (scheme == "star") {
-    options = NwcOptions::Star();
-  } else {
-    return Status::InvalidArgument("unknown --scheme " + scheme);
-  }
-  const std::string measure = args.Get("measure", "nearest");
-  if (measure == "min") {
-    options.measure = DistanceMeasure::kMin;
-  } else if (measure == "max") {
-    options.measure = DistanceMeasure::kMax;
-  } else if (measure == "avg") {
-    options.measure = DistanceMeasure::kAvg;
-  } else if (measure == "nearest") {
-    options.measure = DistanceMeasure::kNearestWindow;
-  } else {
-    return Status::InvalidArgument("unknown --measure " + measure);
-  }
-  return options;
 }
 
 Result<Point> ParsePoint(const std::string& text) {
@@ -310,7 +226,7 @@ Result<LoadedIndex> LoadIndexFor(const Args& args, const NwcOptions& options) {
 }
 
 int CmdQuery(const Args& args) {
-  const Result<NwcOptions> options = ParseOptions(args);
+  const Result<NwcOptions> options = ParseSchemeFlags(args);
   if (!options.ok()) return Fail(options.status().ToString());
   const Result<Point> q = ParsePoint(args.Get("q", ""));
   if (!q.ok()) return Fail(q.status().ToString());
@@ -338,7 +254,7 @@ int CmdQuery(const Args& args) {
 }
 
 int CmdKnwc(const Args& args) {
-  const Result<NwcOptions> options = ParseOptions(args);
+  const Result<NwcOptions> options = ParseSchemeFlags(args);
   if (!options.ok()) return Fail(options.status().ToString());
   const Result<Point> q = ParsePoint(args.Get("q", ""));
   if (!q.ok()) return Fail(q.status().ToString());
@@ -409,7 +325,7 @@ int EmitTrace(const Args& args, const QueryTrace& trace, const IoCounter& io) {
 }
 
 int CmdTrace(const Args& args) {
-  const Result<NwcOptions> options = ParseOptions(args);
+  const Result<NwcOptions> options = ParseSchemeFlags(args);
   if (!options.ok()) return Fail(options.status().ToString());
   const Result<Point> q = ParsePoint(args.Get("q", ""));
   if (!q.ok()) return Fail(q.status().ToString());
@@ -484,77 +400,13 @@ Result<ServiceConfig> ServiceConfigFromArgs(const Args& args, const NwcOptions& 
     service_config.fault_plan = *plan;
   }
   service_config.result_cache_bytes = static_cast<size_t>(args.GetLong("cache-mb", 0)) << 20;
-  service_config.batch_group_size = static_cast<size_t>(args.GetLong("batch-group", 16));
   const Status valid = service_config.Validate();
   if (!valid.ok()) return valid;
   return service_config;
 }
 
-/// Sharding flags shared by `serve-batch` and `serve` (--shards > 1 puts a
-/// ShardRouter over per-shard QueryServices; see service/shard_router.h).
-/// --shard-max-l / --shard-max-w bound the windows routed queries may
-/// carry (the halo basis — required with --shards > 1); --shard-halo is
-/// the halo factor; --shard-partial picks the partial-failure policy;
-/// --fault-shard scopes --inject-faults to one shard.
-Result<ShardRouterConfig> ShardConfigFromArgs(const Args& args,
-                                              const ServiceConfig& service_config,
-                                              const SessionConfig& session_config, bool dynamic) {
-  ShardRouterConfig config;
-  config.num_shards = static_cast<size_t>(args.GetLong("shards", 1));
-  config.max_window_length = args.GetDouble("shard-max-l", 0.0);
-  config.max_window_width = args.GetDouble("shard-max-w", 0.0);
-  config.halo_factor = args.GetDouble("shard-halo", 3.0);
-  const std::string partial = args.Get("shard-partial", "fail");
-  if (partial == "fail") {
-    config.partial_failure = PartialFailurePolicy::kFail;
-  } else if (partial == "degrade") {
-    config.partial_failure = PartialFailurePolicy::kDegrade;
-  } else {
-    return Status::InvalidArgument("--shard-partial must be 'fail' or 'degrade'");
-  }
-  config.service = service_config;
-  config.session = session_config;
-  config.dynamic = dynamic;
-  config.iwp_staleness_limit = static_cast<size_t>(args.GetLong("iwp-staleness", 0));
-  config.fault_plan = service_config.fault_plan;
-  config.fault_shard = static_cast<int>(args.GetLong("fault-shard", -1));
-  // Router dispatch parallelism defaults to the per-shard worker count:
-  // NWC routing holds a router thread across its (mostly sequential)
-  // shard visits, so fewer router threads than workers would idle the
-  // shard services.
-  config.router_threads = static_cast<size_t>(
-      args.GetLong("router-threads", static_cast<long>(service_config.num_threads)));
-  config.router_queue_capacity = static_cast<size_t>(
-      args.GetLong("router-queue", static_cast<long>(service_config.queue_capacity)));
-  const Status valid = config.Validate();
-  if (!valid.ok()) return valid;
-  return config;
-}
-
-/// Future adapters over the QueryBackend callback submits, so the replay
-/// loop in serve-batch is agnostic to single-tree vs sharded backends.
-/// Both backends block the caller on queue backpressure, preserving the
-/// submit loop's natural flow control.
-std::future<NwcResponse> SubmitNwcFuture(QueryBackend& backend, NwcRequest request) {
-  auto promise = std::make_shared<std::promise<NwcResponse>>();
-  std::future<NwcResponse> future = promise->get_future();
-  backend.SubmitNwcAsync(std::move(request), [promise](NwcResponse response) {
-    promise->set_value(std::move(response));
-  });
-  return future;
-}
-
-std::future<KnwcResponse> SubmitKnwcFuture(QueryBackend& backend, KnwcRequest request) {
-  auto promise = std::make_shared<std::promise<KnwcResponse>>();
-  std::future<KnwcResponse> future = promise->get_future();
-  backend.SubmitKnwcAsync(std::move(request), [promise](KnwcResponse response) {
-    promise->set_value(std::move(response));
-  });
-  return future;
-}
-
 int CmdServeBatch(const Args& args) {
-  const Result<NwcOptions> options = ParseOptions(args);
+  const Result<NwcOptions> options = ParseSchemeFlags(args);
   if (!options.ok()) return Fail(options.status().ToString());
   const std::string index_path = args.Get("index");
   if (index_path.empty()) return Fail("--index is required");
@@ -571,38 +423,25 @@ int CmdServeBatch(const Args& args) {
   session_config.build_grid = options->use_dep;
   session_config.grid_cell_size = args.GetDouble("grid-cell", 25.0);
 
-  const size_t num_shards = static_cast<size_t>(args.GetLong("shards", 1));
-  if (num_shards > 1 && args.Has("batch")) {
-    return Fail("--shards cannot be combined with --batch (the planned batch APIs are "
-                "single-tree)");
-  }
-
   // With --mutations the tree goes behind an MVCC SnapshotStore instead
   // of a static Session; mutation batches publish new epochs between
-  // query submissions. With --shards > 1 the ShardRouter builds the
-  // per-shard stacks itself from the tree's objects.
+  // query submissions.
   const std::string mutations_path = args.Get("mutations");
   std::vector<MutationBatch> mutation_batches;
   std::optional<Session> session;
   std::unique_ptr<SnapshotStore> store;
   if (!mutations_path.empty()) {
-    if (args.Has("batch")) {
-      return Fail("--mutations cannot be combined with --batch (the batch planner "
-                  "snapshots the whole file up front)");
-    }
     Result<std::vector<MutationBatch>> batches = LoadMutationFile(mutations_path);
     if (!batches.ok()) return Fail(batches.status().ToString());
     mutation_batches = std::move(*batches);
-    if (num_shards <= 1) {
-      SnapshotStore::Config store_config;
-      store_config.session = session_config;
-      store_config.iwp_staleness_limit = static_cast<size_t>(args.GetLong("iwp-staleness", 0));
-      Result<std::unique_ptr<SnapshotStore>> opened =
-          SnapshotStore::Open(std::move(tree).value(), store_config);
-      if (!opened.ok()) return Fail(opened.status().ToString());
-      store = std::move(*opened);
-    }
-  } else if (num_shards <= 1) {
+    SnapshotStore::Config store_config;
+    store_config.session = session_config;
+    store_config.iwp_staleness_limit = static_cast<size_t>(args.GetLong("iwp-staleness", 0));
+    Result<std::unique_ptr<SnapshotStore>> opened =
+        SnapshotStore::Open(std::move(tree).value(), store_config);
+    if (!opened.ok()) return Fail(opened.status().ToString());
+    store = std::move(*opened);
+  } else {
     Result<Session> opened = Session::Open(std::move(tree).value(), session_config);
     if (!opened.ok()) return Fail(opened.status().ToString());
     session.emplace(std::move(*opened));
@@ -617,103 +456,56 @@ int CmdServeBatch(const Args& args) {
   const Status installed = ShutdownSignal::Instance().Install();
   if (!installed.ok()) return Fail(installed.ToString());
 
-  std::optional<QueryService> service_holder;
-  std::unique_ptr<ShardRouter> router;
-  QueryBackend* backend = nullptr;
-  if (num_shards > 1) {
-    const Result<ShardRouterConfig> shard_config =
-        ShardConfigFromArgs(args, *service_config, session_config, !mutations_path.empty());
-    if (!shard_config.ok()) return Fail(shard_config.status().ToString());
-    Result<std::unique_ptr<ShardRouter>> opened =
-        ShardRouter::Open(CollectTreeObjects(*tree), *shard_config);
-    if (!opened.ok()) return Fail(opened.status().ToString());
-    router = std::move(*opened);
-    backend = router.get();
-  } else if (store != nullptr) {
-    service_holder.emplace(*store, *service_config);
-    backend = &*service_holder;
+  std::optional<QueryService> service;
+  if (store != nullptr) {
+    service.emplace(*store, *service_config);
   } else {
-    service_holder.emplace(*session, *service_config);
-    backend = &*service_holder;
+    service.emplace(*session, *service_config);
   }
-  DrainWatcher drain_watcher([&service_holder, &router] {
-    if (router != nullptr) {
-      router->CancelAll();
-    } else {
-      service_holder->CancelAll();
-    }
-  });
-  if (router != nullptr) {
-    std::printf("serving %zu queries from %s across %zu shard(s) x %zu worker(s), scheme %s%s\n",
-                entries->size(), queries_path.c_str(), router->num_shards(),
-                service_config->num_threads, args.Get("scheme", "star").c_str(),
-                router->is_dynamic() ? " (dynamic)" : "");
-  } else {
-    std::printf("serving %zu queries from %s across %zu worker(s), scheme %s%s\n",
-                entries->size(), queries_path.c_str(), service_holder->num_workers(),
-                args.Get("scheme", "star").c_str(), store != nullptr ? " (dynamic)" : "");
-  }
+  DrainWatcher drain_watcher([&service] { service->CancelAll(); });
+  std::printf("serving %zu queries from %s across %zu worker(s), scheme %s%s\n",
+              entries->size(), queries_path.c_str(), service->num_workers(),
+              args.Get("scheme", "star").c_str(), store != nullptr ? " (dynamic)" : "");
 
   // Submit everything in file order (blocking submit = natural
-  // backpressure), then harvest the futures in the same order. With
-  // --batch the two query kinds go through the planned batch APIs
-  // instead; either way futures come back in per-kind submission order,
-  // so the harvest loop below is shared.
+  // backpressure), then harvest the futures in the same order. Mutation
+  // batches publish after every `mutate_every` submitted queries — by
+  // default spaced so the stream outlives the batches.
   std::vector<std::future<NwcResponse>> nwc_futures;
   std::vector<std::future<KnwcResponse>> knwc_futures;
-  UpdateResponse last_update;
   Stopwatch wall;
-  if (args.Has("batch")) {
-    std::vector<NwcRequest> nwc_requests;
-    std::vector<KnwcRequest> knwc_requests;
-    for (const WorkloadEntry& entry : *entries) {
-      if (entry.is_knwc) {
-        knwc_requests.push_back(KnwcRequest{entry.knwc, {}});
-      } else {
-        nwc_requests.push_back(NwcRequest{entry.nwc, {}});
-      }
-    }
-    nwc_futures = service_holder->SubmitNwcBatch(nwc_requests);
-    knwc_futures = service_holder->SubmitKnwcBatch(knwc_requests);
-  } else {
-    // Mutation batches publish after every `mutate_every` submitted
-    // queries — by default spaced so the stream outlives the batches.
-    const size_t mutate_every =
-        mutation_batches.empty()
-            ? 0
-            : std::max<size_t>(
-                  1, args.Has("mutate-every")
-                         ? static_cast<size_t>(args.GetLong("mutate-every", 1))
-                         : entries->size() / (mutation_batches.size() + 1));
-    size_t next_batch = 0;
-    size_t since_mutation = 0;
-    for (const WorkloadEntry& entry : *entries) {
-      if (mutate_every != 0 && since_mutation >= mutate_every &&
-          next_batch < mutation_batches.size()) {
-        // NotFound (delete misses) is tolerated: a replay against a
-        // different seed tree may legitimately miss.
-        const UpdateResponse update = backend->ApplyUpdate(mutation_batches[next_batch++]);
-        if (!update.status.ok() && update.status.code() != StatusCode::kNotFound) {
-          return Fail(update.status.ToString());
-        }
-        last_update = update;
-        since_mutation = 0;
-      }
-      if (entry.is_knwc) {
-        knwc_futures.push_back(SubmitKnwcFuture(*backend, KnwcRequest{entry.knwc, {}}));
-      } else {
-        nwc_futures.push_back(SubmitNwcFuture(*backend, NwcRequest{entry.nwc, {}}));
-      }
-      ++since_mutation;
-    }
-    // Leftover batches (short query file): apply them so the replay is
-    // complete even if nothing queries the final epochs.
-    while (next_batch < mutation_batches.size()) {
-      const UpdateResponse update = backend->ApplyUpdate(mutation_batches[next_batch++]);
+  const size_t mutate_every =
+      mutation_batches.empty()
+          ? 0
+          : std::max<size_t>(1, args.Has("mutate-every")
+                                    ? static_cast<size_t>(args.GetLong("mutate-every", 1))
+                                    : entries->size() / (mutation_batches.size() + 1));
+  size_t next_batch = 0;
+  size_t since_mutation = 0;
+  for (const WorkloadEntry& entry : *entries) {
+    if (mutate_every != 0 && since_mutation >= mutate_every &&
+        next_batch < mutation_batches.size()) {
+      // NotFound (delete misses) is tolerated: a replay against a
+      // different seed tree may legitimately miss.
+      const UpdateResponse update = service->ApplyUpdate(mutation_batches[next_batch++]);
       if (!update.status.ok() && update.status.code() != StatusCode::kNotFound) {
         return Fail(update.status.ToString());
       }
-      last_update = update;
+      since_mutation = 0;
+    }
+    if (entry.is_knwc) {
+      knwc_futures.push_back(service->SubmitKnwc(KnwcRequest{entry.knwc, {}}));
+    } else {
+      nwc_futures.push_back(service->SubmitNwc(NwcRequest{entry.nwc, {}}));
+    }
+    ++since_mutation;
+  }
+  // Leftover batches (short query file): apply them so the replay is
+  // complete even if nothing queries the final epochs.
+  while (next_batch < mutation_batches.size()) {
+    const UpdateResponse update = service->ApplyUpdate(mutation_batches[next_batch++]);
+    if (!update.status.ok() && update.status.code() != StatusCode::kNotFound) {
+      return Fail(update.status.ToString());
     }
   }
 
@@ -759,7 +551,7 @@ int CmdServeBatch(const Args& args) {
   }
   const double seconds = wall.ElapsedSeconds();
 
-  const MetricsSnapshot snapshot = backend->SnapshotMetrics();
+  const MetricsSnapshot snapshot = service->SnapshotMetrics();
   std::printf("\n--- metrics report ---\n");
   std::printf("wall time:  %.3f s (%.1f queries/sec)\n", seconds,
               seconds > 0.0 ? static_cast<double>(snapshot.queries) / seconds : 0.0);
@@ -767,15 +559,6 @@ int CmdServeBatch(const Args& args) {
     std::printf("mutations:  %zu batch(es) applied, final epoch %llu, %zu object(s)\n",
                 mutation_batches.size(), static_cast<unsigned long long>(store->epoch()),
                 store->writer_object_count());
-  } else if (router != nullptr && !mutation_batches.empty()) {
-    // The router has no single writer store; report the last update's
-    // owner-shard view (max per-shard epoch, counts from the final batch).
-    std::printf("mutations:  %zu batch(es) applied, final epoch %llu (last batch: %llu "
-                "insert(s), %llu delete(s), %llu miss(es))\n",
-                mutation_batches.size(), static_cast<unsigned long long>(last_update.epoch),
-                static_cast<unsigned long long>(last_update.applied_inserts),
-                static_cast<unsigned long long>(last_update.applied_deletes),
-                static_cast<unsigned long long>(last_update.delete_misses));
   }
   std::printf("%s", snapshot.ToString().c_str());
 
@@ -791,9 +574,7 @@ int CmdServeBatch(const Args& args) {
   if (!prom.empty()) {
     std::ofstream file(prom, std::ios::trunc);
     if (!file) return Fail("cannot open " + prom + " for writing");
-    std::string text = ToPrometheusText(snapshot, backend->SnapshotLatencyHistogram());
-    backend->AppendPrometheusText(&text);
-    file << text;
+    file << ToPrometheusText(snapshot, service->SnapshotLatencyHistogram());
     if (!file.good()) return Fail("failed writing " + prom);
     std::printf("wrote Prometheus metrics to %s\n", prom.c_str());
   }
@@ -802,7 +583,7 @@ int CmdServeBatch(const Args& args) {
     std::error_code ec;
     std::filesystem::create_directories(trace_dir, ec);
     if (ec) return Fail("cannot create " + trace_dir + ": " + ec.message());
-    const auto traces = backend->SlowTraces();
+    const auto traces = service->SlowTraces();
     size_t written = 0;
     for (const auto& trace : traces) {
       char name[32];
@@ -826,7 +607,7 @@ int CmdServeBatch(const Args& args) {
 }
 
 int CmdServe(const Args& args) {
-  const Result<NwcOptions> options = ParseOptions(args);
+  const Result<NwcOptions> options = ParseSchemeFlags(args);
   if (!options.ok()) return Fail(options.status().ToString());
   const std::string index_path = args.Get("index");
   if (index_path.empty()) return Fail("--index is required");
@@ -840,12 +621,9 @@ int CmdServe(const Args& args) {
   session_config.build_grid = !args.Has("no-grid");
   session_config.grid_cell_size = args.GetDouble("grid-cell", 25.0);
 
-  const size_t num_shards = static_cast<size_t>(args.GetLong("shards", 1));
   std::optional<Session> session;
   std::unique_ptr<SnapshotStore> store;
-  if (num_shards > 1) {
-    // The ShardRouter builds its own per-shard stacks below.
-  } else if (args.Has("dynamic")) {
+  if (args.Has("dynamic")) {
     SnapshotStore::Config store_config;
     store_config.session = session_config;
     store_config.iwp_staleness_limit = static_cast<size_t>(args.GetLong("iwp-staleness", 0));
@@ -870,38 +648,18 @@ int CmdServe(const Args& args) {
   const Status installed = ShutdownSignal::Instance().Install();
   if (!installed.ok()) return Fail(installed.ToString());
 
-  std::optional<QueryService> service_holder;
-  std::unique_ptr<ShardRouter> router;
-  QueryBackend* backend = nullptr;
-  if (num_shards > 1) {
-    const Result<ShardRouterConfig> shard_config =
-        ShardConfigFromArgs(args, *service_config, session_config, args.Has("dynamic"));
-    if (!shard_config.ok()) return Fail(shard_config.status().ToString());
-    Result<std::unique_ptr<ShardRouter>> opened =
-        ShardRouter::Open(CollectTreeObjects(*tree), *shard_config);
-    if (!opened.ok()) return Fail(opened.status().ToString());
-    router = std::move(*opened);
-    backend = router.get();
-  } else if (store != nullptr) {
-    service_holder.emplace(*store, *service_config);
-    backend = &*service_holder;
+  std::optional<QueryService> service;
+  if (store != nullptr) {
+    service.emplace(*store, *service_config);
   } else {
-    service_holder.emplace(*session, *service_config);
-    backend = &*service_holder;
+    service.emplace(*session, *service_config);
   }
-  Result<std::unique_ptr<NetServer>> server = NetServer::Start(*backend, net_config);
+  Result<std::unique_ptr<NetServer>> server = NetServer::Start(*service, net_config);
   if (!server.ok()) return Fail(server.status().ToString());
 
-  if (router != nullptr) {
-    std::printf("listening on %s:%u (%zu shard(s) x %zu worker(s), scheme %s%s)\n",
-                net_config.host.c_str(), static_cast<unsigned>((*server)->port()),
-                router->num_shards(), service_config->num_threads,
-                args.Get("scheme", "star").c_str(), router->is_dynamic() ? ", dynamic" : "");
-  } else {
-    std::printf("listening on %s:%u (%zu worker(s), scheme %s%s)\n", net_config.host.c_str(),
-                static_cast<unsigned>((*server)->port()), service_holder->num_workers(),
-                args.Get("scheme", "star").c_str(), store != nullptr ? ", dynamic" : "");
-  }
+  std::printf("listening on %s:%u (%zu worker(s), scheme %s%s)\n", net_config.host.c_str(),
+              static_cast<unsigned>((*server)->port()), service->num_workers(),
+              args.Get("scheme", "star").c_str(), store != nullptr ? ", dynamic" : "");
   std::fflush(stdout);
 
   ShutdownSignal::Instance().WaitUntilRequested();
@@ -917,7 +675,7 @@ int CmdServe(const Args& args) {
               static_cast<unsigned long long>(stats.responses_sent),
               static_cast<unsigned long long>(stats.protocol_errors),
               static_cast<unsigned long long>(stats.connections_accepted));
-  const MetricsSnapshot snapshot = backend->SnapshotMetrics();
+  const MetricsSnapshot snapshot = service->SnapshotMetrics();
   std::printf("%s", snapshot.ToString().c_str());
 
   const std::string metrics_json = args.Get("metrics-json");
@@ -931,9 +689,7 @@ int CmdServe(const Args& args) {
   if (!prom.empty()) {
     std::ofstream file(prom, std::ios::trunc);
     if (!file) return Fail("cannot open " + prom + " for writing");
-    std::string text = ToPrometheusText(snapshot, backend->SnapshotLatencyHistogram());
-    backend->AppendPrometheusText(&text);
-    file << text;
+    file << ToPrometheusText(snapshot, service->SnapshotLatencyHistogram());
     if (!file.good()) return Fail("failed writing " + prom);
   }
   return 0;
@@ -968,18 +724,44 @@ int Usage() {
   return 2;
 }
 
+// Flags of ParseSchemeFlags.
+const FlagList kSchemeFlags = {"scheme", "measure"};
+// Flags of LoadIndexFor and the query geometry (query, knwc, trace).
+const FlagList kQueryFlags = {"index", "data", "grid-cell", "q", "l", "w", "n"};
+// Flags of ServiceConfigFromArgs (serve-batch, serve).
+const FlagList kServiceFlags = {"threads",  "queue",          "pool-pages",       "trace-dir",
+                                "slow-us",  "trace-ring",     "deadline-us",      "retries",
+                                "cache-mb", "shed-watermark", "retry-backoff-us", "inject-faults"};
+
 int Run(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  const Args args(argc, argv, 2);
-  if (command == "generate") return CmdGenerate(args);
-  if (command == "build") return CmdBuild(args);
-  if (command == "query") return CmdQuery(args);
-  if (command == "knwc") return CmdKnwc(args);
-  if (command == "trace") return CmdTrace(args);
-  if (command == "stats") return CmdStats(args);
-  if (command == "serve-batch") return CmdServeBatch(args);
-  if (command == "serve") return CmdServe(args);
+  // Parses the flags against what `run` reads, then runs it.
+  const auto dispatch = [&](int (*run)(const Args&), std::initializer_list<FlagList> known) {
+    const Args args(argc, argv, 2, known);
+    if (!args.status().ok()) return Fail(args.status().message());
+    return run(args);
+  };
+  if (command == "generate") return dispatch(CmdGenerate, {{"kind", "count", "seed", "out"}});
+  if (command == "build") return dispatch(CmdBuild, {{"data", "out", "max-entries", "str"}});
+  if (command == "query") return dispatch(CmdQuery, {kSchemeFlags, kQueryFlags});
+  if (command == "knwc") return dispatch(CmdKnwc, {kSchemeFlags, kQueryFlags, {"k", "m"}});
+  if (command == "trace") {
+    return dispatch(CmdTrace, {kSchemeFlags, kQueryFlags, {"k", "m", "format", "out"}});
+  }
+  if (command == "stats") return dispatch(CmdStats, {{"index"}});
+  if (command == "serve-batch") {
+    return dispatch(CmdServeBatch,
+                    {kSchemeFlags, kServiceFlags,
+                     {"index", "queries", "grid-cell", "mutations", "mutate-every",
+                      "iwp-staleness", "print", "metrics-json", "prom"}});
+  }
+  if (command == "serve") {
+    return dispatch(CmdServe, {kSchemeFlags, kServiceFlags,
+                               {"index", "no-iwp", "no-grid", "grid-cell", "dynamic",
+                                "iwp-staleness", "host", "port", "max-frame-bytes",
+                                "metrics-json", "prom"}});
+  }
   return Usage();
 }
 
