@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "core/distance_measures.h"
 #include "core/search_region.h"
@@ -15,18 +16,24 @@ namespace nwc::internal {
 
 namespace {
 
-// Entry of the best-first queue: 24 bytes. The MBR of a node entry and the
-// position and leaf of an object entry live in the side arrays of
-// SearchScratch at index `slot`, so a heap sift moves three words.
+// Entry of the best-first queue: 24 bytes. A node entry carries the node's
+// MINDIST and id, with its MBR in SearchScratch::node_mbrs at `slot`. An
+// object entry stands for one expanded leaf: its objects wait in a run
+// sorted by (distance, id) (SearchScratch::runs at `slot`), and the entry
+// carries the key and id of the run's next object. Popping that object
+// advances the run and sifts the entry down once, so a leaf costs one
+// queue entry instead of one per object.
 //
 // `tie` is (is_object << 32) | id. Ordering by (key, tie) is a strict
 // total order: nearest first, then nodes before objects (an object pops
 // only once every node that could hold a closer object was expanded, so
 // all tied objects are queued together), then ascending object id, then
-// ascending node id. Without the tie-breaks equal keys would pop in
-// heap-layout order, which varies with how the tree was built and made
-// candidate order — hence trace contents and tie-distance results —
-// nondeterministic on tie-heavy data.
+// ascending node id. Each run is sorted by the same order and the queue
+// holds each run's first object, so objects pop exactly in the order one
+// queue holding every object would pop them. Without the tie-breaks equal
+// keys would pop in heap-layout order, which varies with how the tree was
+// built and made candidate order — hence trace contents and tie-distance
+// results — nondeterministic on tie-heavy data.
 struct QueueEntry {
   double key = 0.0;
   uint64_t tie = 0;
@@ -36,19 +43,27 @@ static_assert(sizeof(QueueEntry) <= 24);
 
 constexpr uint64_t kObjectTie = uint64_t{1} << 32;
 
-// Heap comparator for std::push_heap/pop_heap: true when `a` pops after `b`.
-struct PopsAfter {
-  bool operator()(const QueueEntry& a, const QueueEntry& b) const {
-    if (a.key != b.key) return a.key > b.key;
-    return a.tie > b.tie;
-  }
-};
+bool PopsBefore(const QueueEntry& a, const QueueEntry& b) {
+  if (a.key != b.key) return a.key < b.key;
+  return a.tie < b.tie;
+}
 
-// Side-array record of a queued object; its id is in the entry's tie word.
-// IWP probes start from the backward pointers of the leaf holding it.
-struct QueuedObject {
-  Point pos;
-  NodeId leaf = kInvalidNodeId;
+// One object of a sorted leaf run: its distance, id and index in the
+// leaf's arrays, where its position is read back when it pops (the leaf
+// was charged when it was expanded and the tree keeps it alive).
+struct RunObject {
+  double key = 0.0;
+  ObjectId id = 0;
+  uint32_t index = 0;
+};
+static_assert(sizeof(RunObject) == 16);
+
+// The unpopped objects of one expanded leaf: run_objects[next, end).
+struct Run {
+  const RTreeNode* leaf = nullptr;
+  NodeId leaf_id = kInvalidNodeId;
+  uint32_t next = 0;
+  uint32_t end = 0;
 };
 
 // A window-query hit mapped into the object's first-quadrant frame.
@@ -64,9 +79,11 @@ struct Member {
 // without heap allocation and holds each buffer at the high-water mark of
 // its own queries.
 struct SearchScratch {
-  std::vector<QueueEntry> heap;
-  std::vector<Rect> node_mbrs;        // slots of node entries
-  std::vector<QueuedObject> objects;  // slots of object entries
+  std::vector<QueueEntry> heap;  // binary min-heap under PopsBefore
+  std::vector<Rect> node_mbrs;   // slots of node entries
+  std::vector<Run> runs;         // slots of object entries
+  std::vector<RunObject> run_objects;
+  size_t queued = 0;  // queued nodes plus unpopped run objects
   std::vector<double> keys;           // distances of one expanded node's entries
   std::vector<NodeId> starts;         // start nodes of one IWP probe
   std::vector<DataObject> hits;       // hits of one window query
@@ -77,26 +94,91 @@ struct SearchScratch {
   void Clear() {
     heap.clear();
     node_mbrs.clear();
-    objects.clear();
+    runs.clear();
+    run_objects.clear();
+    queued = 0;
   }
 
   void PushNode(double key, NodeId node, const Rect& mbr) {
-    heap.push_back(QueueEntry{key, node, static_cast<uint32_t>(node_mbrs.size())});
+    Push(QueueEntry{key, node, static_cast<uint32_t>(node_mbrs.size())});
     node_mbrs.push_back(mbr);
-    std::push_heap(heap.begin(), heap.end(), PopsAfter{});
+    ++queued;
   }
 
-  void PushObject(double key, ObjectId id, const Point& pos, NodeId leaf) {
-    heap.push_back(QueueEntry{key, kObjectTie | id, static_cast<uint32_t>(objects.size())});
-    objects.push_back(QueuedObject{pos, leaf});
-    std::push_heap(heap.begin(), heap.end(), PopsAfter{});
+  // Sorts run_objects[begin, end) — the objects of `leaf` — and queues
+  // them as one run.
+  void PushRun(const RTreeNode& leaf, NodeId leaf_id, size_t begin) {
+    const auto first = run_objects.begin() + static_cast<ptrdiff_t>(begin);
+    std::sort(first, run_objects.end(), [](const RunObject& a, const RunObject& b) {
+      if (a.key != b.key) return a.key < b.key;
+      return a.id < b.id;
+    });
+    Push(QueueEntry{first->key, kObjectTie | first->id, static_cast<uint32_t>(runs.size())});
+    runs.push_back(Run{&leaf, leaf_id, static_cast<uint32_t>(begin),
+                       static_cast<uint32_t>(run_objects.size())});
+    queued += run_objects.size() - begin;
   }
 
-  QueueEntry Pop() {
-    std::pop_heap(heap.begin(), heap.end(), PopsAfter{});
-    const QueueEntry top = heap.back();
+  // Removes the first object of the top entry's run; the top must be an
+  // object entry.
+  DataObject PopObject(NodeId* leaf_id) {
+    QueueEntry& top = heap.front();
+    Run& run = runs[top.slot];
+    const RunObject& popped = run_objects[run.next++];
+    const DataObject object{popped.id, run.leaf->objects.position(popped.index)};
+    *leaf_id = run.leaf_id;
+    if (run.next < run.end) {
+      const RunObject& next = run_objects[run.next];
+      top.key = next.key;
+      top.tie = kObjectTie | next.id;
+      SiftDown(0);
+    } else {
+      PopTop();
+    }
+    --queued;
+    return object;
+  }
+
+  // Removes the top entry, which must be a node entry, and returns it.
+  NodeId PopNode(Rect* mbr) {
+    const QueueEntry top = heap.front();
+    *mbr = node_mbrs[top.slot];
+    PopTop();
+    --queued;
+    return static_cast<NodeId>(top.tie);
+  }
+
+ private:
+  void PopTop() {
+    heap.front() = heap.back();
     heap.pop_back();
-    return top;
+    if (!heap.empty()) SiftDown(0);
+  }
+
+  void Push(const QueueEntry& entry) {
+    size_t i = heap.size();
+    heap.push_back(entry);
+    while (i > 0) {
+      const size_t parent = (i - 1) / 2;
+      if (!PopsBefore(entry, heap[parent])) break;
+      heap[i] = heap[parent];
+      i = parent;
+    }
+    heap[i] = entry;
+  }
+
+  void SiftDown(size_t i) {
+    const QueueEntry entry = heap[i];
+    const size_t size = heap.size();
+    while (true) {
+      size_t child = 2 * i + 1;
+      if (child >= size) break;
+      if (child + 1 < size && PopsBefore(heap[child + 1], heap[child])) ++child;
+      if (!PopsBefore(heap[child], entry)) break;
+      heap[i] = heap[child];
+      i = child;
+    }
+    heap[i] = entry;
   }
 };
 
@@ -149,25 +231,28 @@ void ProcessObject(const RStarTree& tree, const IwpIndex* iwp, const DensityGrid
   }
 
   // The window query for SR'_p — incremental (Algorithm 3) or root-based.
+  // It counts first and collects the hits only when there are at least n:
+  // a region with fewer holds no qualified window.
   trace.Count(TraceCounter::kWindowQueries);
+  size_t hit_count;
   {
     TraceSpanScope wq_span(trace, options.use_iwp ? SpanKind::kIwpProbe : SpanKind::kWindowQuery,
                            io);
-    scratch.hits.clear();
+    const NodeId root = tree.root();
+    std::span<const NodeId> starts(&root, 1);
     if (options.use_iwp) {
-      iwp->WindowQuery(tree, leaf, sr_world, &scratch.starts, &scratch.hits, io,
-                       IoPhase::kWindowQuery, &control);
-    } else {
-      const NodeId root = tree.root();
-      WindowQueryFrom(tree, {&root, 1}, sr_world, &scratch.hits, io, IoPhase::kWindowQuery,
-                      &control);
+      iwp->ResolveStartNodes(leaf, sr_world, &scratch.starts);
+      starts = scratch.starts;
     }
-    trace.SetDetail(wq_span.id(), static_cast<int64_t>(scratch.hits.size()));
+    scratch.hits.clear();
+    hit_count = WindowQueryAtLeast(tree, starts, sr_world, query.n, &scratch.hits, io,
+                                   IoPhase::kWindowQuery, &control);
+    trace.SetDetail(wq_span.id(), static_cast<int64_t>(hit_count));
   }
   const std::vector<DataObject>& hits = scratch.hits;
   // A stopped walk returns truncated hits; never evaluate them as windows.
   if (control.stopped()) return;
-  if (hits.size() < query.n) return;
+  if (hit_count < query.n) return;
 
   std::vector<Member>& members = scratch.members;
   members.clear();
@@ -261,11 +346,15 @@ void ExpandNode(const RStarTree& tree, const DensityGrid* grid, const NwcQuery& 
   std::vector<double>& keys = scratch.keys;
   if (node.is_leaf()) {
     const LeafObjects& objects = node.objects;
-    keys.resize(objects.size());
-    simd::BatchDistance(query.q, objects.xs(), objects.ys(), objects.size(), keys.data());
-    for (size_t i = 0; i < objects.size(); ++i) {
-      scratch.PushObject(keys[i], objects.ids()[i], Point{objects.xs()[i], objects.ys()[i]},
-                         node_id);
+    if (!objects.empty()) {
+      keys.resize(objects.size());
+      simd::BatchDistance(query.q, objects.xs(), objects.ys(), objects.size(), keys.data());
+      const size_t begin = scratch.run_objects.size();
+      for (size_t i = 0; i < objects.size(); ++i) {
+        scratch.run_objects.push_back(
+            RunObject{keys[i], objects.ids()[i], static_cast<uint32_t>(i)});
+      }
+      scratch.PushRun(node, node_id, begin);
     }
   } else {
     keys.resize(node.children.size());
@@ -277,7 +366,7 @@ void ExpandNode(const RStarTree& tree, const DensityGrid* grid, const NwcQuery& 
       scratch.PushNode(keys[i], node.children[i].child, node.children[i].mbr);
     }
   }
-  trace.NoteHeapSize(scratch.heap.size());
+  trace.NoteHeapSize(scratch.queued);
 }
 
 }  // namespace
@@ -305,21 +394,20 @@ void RunNwcSearch(const RStarTree& tree, const IwpIndex* iwp, const DensityGrid*
       break;
     }
 
-    const QueueEntry entry = scratch.Pop();
-    if (entry.tie & kObjectTie) {
-      const QueuedObject queued = scratch.objects[entry.slot];
-      const DataObject object{static_cast<ObjectId>(entry.tie), queued.pos};
+    if (scratch.heap.front().tie & kObjectTie) {
+      NodeId leaf;
+      const DataObject object = scratch.PopObject(&leaf);
       trace.Count(TraceCounter::kObjectsBrowsed);
       TraceSpanScope candidate_span(trace, SpanKind::kCandidate, io,
                                     static_cast<int64_t>(object.id));
-      ProcessObject(tree, iwp, grid, query, options, io, sink, trace, control, object,
-                    queued.leaf, scratch);
+      ProcessObject(tree, iwp, grid, query, options, io, sink, trace, control, object, leaf,
+                    scratch);
       continue;
     }
 
-    const Rect mbr = scratch.node_mbrs[entry.slot];
-    ExpandNode(tree, grid, query, options, io, sink, trace, static_cast<NodeId>(entry.tie), mbr,
-               scratch);
+    Rect mbr;
+    const NodeId node_id = scratch.PopNode(&mbr);
+    ExpandNode(tree, grid, query, options, io, sink, trace, node_id, mbr, scratch);
   }
 }
 

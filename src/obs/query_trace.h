@@ -91,9 +91,12 @@ struct TraceSpan {
 /// Low-overhead per-query trace recorder.
 ///
 /// A default-constructed QueryTrace is the *null object*: every mutator
-/// tests one flag and returns, so threading a disabled recorder through the
-/// engines costs a single predictable branch per call site — the hot path
-/// pays nothing else. QueryTrace::Enabled() arms the recorder: spans get
+/// tests one flag inline and returns, so threading a disabled recorder
+/// through the engines costs a single predictable branch per call site —
+/// no call, and nothing else on the hot path. Only an armed recorder calls
+/// the out-of-line recording code in query_trace.cc.
+///
+/// QueryTrace::Enabled() arms the recorder: spans get
 /// monotonic timestamps (std::chrono::steady_clock) and snapshot the
 /// query's IoCounter at Begin/End so each span knows the node reads it
 /// covers, per phase.
@@ -126,19 +129,29 @@ class QueryTrace {
 
   /// Opens a span as a child of the innermost open span. `io` (nullable)
   /// is snapshotted so the span can report the reads it covers.
-  SpanId Begin(SpanKind kind, const IoCounter* io, int64_t detail = -1);
+  SpanId Begin(SpanKind kind, const IoCounter* io, int64_t detail = -1) {
+    return enabled_ ? BeginArmed(kind, io, detail) : kNoSpan;
+  }
 
   /// Closes the innermost open span, which must be `id` (LIFO).
-  void End(SpanId id, const IoCounter* io);
+  void End(SpanId id, const IoCounter* io) {
+    if (enabled_ && id != kNoSpan) EndArmed(id, io);
+  }
 
   /// Sets the kind-specific payload of an open or closed span.
-  void SetDetail(SpanId id, int64_t detail);
+  void SetDetail(SpanId id, int64_t detail) {
+    if (enabled_ && id != kNoSpan) spans_[id].detail = detail;
+  }
 
   /// Bumps a structured counter.
-  void Count(TraceCounter counter, uint64_t delta = 1);
+  void Count(TraceCounter counter, uint64_t delta = 1) {
+    if (enabled_) counters_[static_cast<size_t>(counter)] += delta;
+  }
 
   /// Observes the traversal heap size; keeps the high-water mark.
-  void NoteHeapSize(size_t size);
+  void NoteHeapSize(size_t size) {
+    if (enabled_ && size > heap_high_water_) heap_high_water_ = size;
+  }
 
   /// Free-form query description carried into the exporters.
   void set_label(std::string label);
@@ -155,6 +168,8 @@ class QueryTrace {
 
  private:
   uint64_t NowNs() const;
+  SpanId BeginArmed(SpanKind kind, const IoCounter* io, int64_t detail);
+  void EndArmed(SpanId id, const IoCounter* io);
 
   bool enabled_ = false;
   std::function<uint64_t()> clock_ns_;  // test clock; empty -> steady_clock

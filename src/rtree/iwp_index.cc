@@ -355,19 +355,13 @@ void IwpIndex::ResolveStartNodes(NodeId leaf, const Rect& window,
   }
 }
 
-void IwpIndex::WindowQuery(const RStarTree& tree, NodeId leaf, const Rect& window,
-                           std::vector<NodeId>* starts, std::vector<DataObject>* out,
-                           IoCounter* io, IoPhase phase, QueryControl* control) const {
-  ResolveStartNodes(leaf, window, starts);
-  WindowQueryFrom(tree, *starts, window, out, io, phase, control);
-}
-
 std::vector<DataObject> IwpIndex::WindowQuery(const RStarTree& tree, NodeId leaf,
                                               const Rect& window, IoCounter* io, IoPhase phase,
                                               QueryControl* control) const {
   std::vector<NodeId> starts;
   std::vector<DataObject> out;
-  WindowQuery(tree, leaf, window, &starts, &out, io, phase, control);
+  ResolveStartNodes(leaf, window, &starts);
+  WindowQueryFrom(tree, starts, window, &out, io, phase, control);
   return out;
 }
 

@@ -80,21 +80,15 @@ class IwpIndex {
   }
 
   /// Algorithm 3: answers the window query for `window`, issued while
-  /// processing an object stored in `leaf`, and appends the objects inside
-  /// to `out`. `starts` is caller-owned scratch for the resolved start
-  /// nodes; with both buffers reused across calls a probe allocates
-  /// nothing.
+  /// processing an object stored in `leaf`: WindowQueryFrom over the start
+  /// nodes ResolveStartNodes picks. The NWC search runs the same walk
+  /// through WindowQueryAtLeast with reused buffers.
   ///
   /// I/O accounting: consulting the pointer tables is free — the backward
   /// pointers ride along with the object when its leaf is expanded into the
   /// priority queue, and the overlap table of the chosen start node is
   /// embedded in that node's page. Every node traversed by the window
   /// query itself charges one read, exactly as a root-based query would.
-  void WindowQuery(const RStarTree& tree, NodeId leaf, const Rect& window,
-                   std::vector<NodeId>* starts, std::vector<DataObject>* out, IoCounter* io,
-                   IoPhase phase = IoPhase::kWindowQuery, QueryControl* control = nullptr) const;
-
-  /// The same query returning a fresh vector (tests and ablations).
   std::vector<DataObject> WindowQuery(const RStarTree& tree, NodeId leaf, const Rect& window,
                                       IoCounter* io, IoPhase phase = IoPhase::kWindowQuery,
                                       QueryControl* control = nullptr) const;

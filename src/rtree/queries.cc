@@ -82,6 +82,27 @@ void WindowQueryFrom(const RStarTree& tree, std::span<const NodeId> start_nodes,
   }
 }
 
+size_t WindowQueryAtLeast(const RStarTree& tree, std::span<const NodeId> start_nodes,
+                          const Rect& window, size_t min_hits, std::vector<DataObject>* out,
+                          IoCounter* io, IoPhase phase, QueryControl* control) {
+  thread_local std::vector<const RTreeNode*> hit_leaves;
+  hit_leaves.clear();
+  size_t count = 0;
+  for (const NodeId start : start_nodes) {
+    WindowWalk(tree, start, window, io, phase, control, [&](const RTreeNode& leaf) {
+      const size_t hits =
+          simd::CountInWindow(leaf.objects.xs(), leaf.objects.ys(), leaf.objects.size(), window);
+      if (hits == 0) return;
+      count += hits;
+      hit_leaves.push_back(&leaf);
+    });
+  }
+  if (count >= min_hits) {
+    for (const RTreeNode* leaf : hit_leaves) CollectLeafHits(*leaf, window, out);
+  }
+  return count;
+}
+
 size_t WindowCount(const RStarTree& tree, const Rect& window, IoCounter* io, IoPhase phase,
                    QueryControl* control) {
   size_t count = 0;

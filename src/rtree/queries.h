@@ -39,6 +39,22 @@ void WindowQueryFrom(const RStarTree& tree, std::span<const NodeId> start_nodes,
                      const Rect& window, std::vector<DataObject>* out, IoCounter* io,
                      IoPhase phase = IoPhase::kWindowQuery, QueryControl* control = nullptr);
 
+/// Counts the objects inside `window` in the subtrees under `start_nodes`
+/// and appends them to `out` only when there are at least `min_hits`;
+/// returns the count. The walk visits and charges the same nodes in the
+/// same order as WindowQueryFrom, with the same `control` checkpoints, but
+/// it only counts each reached leaf and remembers the leaves holding hits;
+/// the hits are gathered from those leaves afterwards, so `out` receives
+/// exactly what WindowQueryFrom would append. The NWC search issues one
+/// such query per candidate object and needs the members only when the
+/// region holds n of them, which few regions do. A stopped walk returns the
+/// count of the leaves it reached (and their hits, if that count reaches
+/// `min_hits`), as WindowQueryFrom returns their truncated hits.
+size_t WindowQueryAtLeast(const RStarTree& tree, std::span<const NodeId> start_nodes,
+                          const Rect& window, size_t min_hits, std::vector<DataObject>* out,
+                          IoCounter* io, IoPhase phase = IoPhase::kWindowQuery,
+                          QueryControl* control = nullptr);
+
 /// Counts the objects inside `window` without materializing them; same
 /// traversal and I/O accounting as WindowQuery.
 size_t WindowCount(const RStarTree& tree, const Rect& window, IoCounter* io,

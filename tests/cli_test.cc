@@ -130,7 +130,10 @@ TEST_F(CliPipelineTest, ServeBatchReplaysQueryFileAndReportsMetrics) {
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("serving 13 queries"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("metrics report"), std::string::npos) << result.output;
-  EXPECT_NE(result.output.find("queries/sec"), std::string::npos) << result.output;
+  // One throughput figure per report.
+  const size_t qps_at = result.output.find("queries/sec");
+  EXPECT_NE(qps_at, std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("queries/sec", qps_at + 1), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("p95"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("node reads:"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("queries:    13 (0 failed"), std::string::npos) << result.output;

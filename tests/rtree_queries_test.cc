@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cancel.h"
 #include "common/rng.h"
 #include "rtree/bulk_load.h"
+#include "rtree/iwp_index.h"
 #include "rtree/rstar_tree.h"
 
 namespace nwc {
@@ -286,6 +288,90 @@ TEST(DistanceBrowserTest, TieHeavyGridBrowseOrderIsPinnedAcrossLayouts) {
   }
   EXPECT_EQ(insert_order.size(), objects.size());
   EXPECT_EQ(insert_order, bulk_order);
+}
+
+// Runs WindowQueryAtLeast and WindowQueryFrom over the same start nodes
+// with traced counters; both must charge the same page sequence, and the
+// count-first walk must return WindowQueryFrom's hit count and, when that
+// reaches `min_hits`, its hits in order. A fault reported after
+// `fault_after` reads (0 = none) stops both walks at the same point.
+void ExpectCountFirstWalkMatches(const RStarTree& tree, std::span<const NodeId> starts,
+                                 const Rect& window, size_t min_hits, size_t fault_after) {
+  auto run = [&](bool count_first, std::vector<DataObject>* hits, size_t* count) {
+    IoCounter io;
+    io.EnableTrace();
+    QueryControl control;
+    size_t reads = 0;
+    if (fault_after != 0) {
+      io.SetReadProbe([&](uint32_t) {
+        if (++reads == fault_after) control.ReportFault(Status::IoError("injected"));
+      });
+    }
+    if (count_first) {
+      *count = WindowQueryAtLeast(tree, starts, window, min_hits, hits, &io,
+                                  IoPhase::kWindowQuery, &control);
+    } else {
+      WindowQueryFrom(tree, starts, window, hits, &io, IoPhase::kWindowQuery, &control);
+      *count = hits->size();
+    }
+    EXPECT_EQ(control.stopped(), fault_after != 0 && reads >= fault_after);
+    return io.trace();
+  };
+  std::vector<DataObject> expected;
+  std::vector<DataObject> hits;
+  size_t expected_count = 0;
+  size_t count = 0;
+  const std::vector<uint32_t> expected_pages = run(false, &expected, &expected_count);
+  const std::vector<uint32_t> pages = run(true, &hits, &count);
+  EXPECT_EQ(pages, expected_pages);
+  EXPECT_EQ(count, expected_count);
+  if (count >= min_hits) {
+    ASSERT_EQ(hits.size(), expected.size());
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].id, expected[i].id);
+      EXPECT_EQ(hits[i].pos, expected[i].pos);
+    }
+  } else {
+    EXPECT_TRUE(hits.empty());
+  }
+}
+
+TEST(WindowQueryAtLeastTest, ChargesTheSamePagesAndReturnsTheSameHitsAsWindowQueryFrom) {
+  const std::vector<DataObject> objects = RandomObjects(3000, 91);
+  const RStarTree tree = BuildTree(objects);
+  const IwpIndex iwp = IwpIndex::Build(tree);
+  const NodeId root = tree.root();
+  Rng rng(92);
+  std::vector<NodeId> starts;
+  for (int trial = 0; trial < 200; ++trial) {
+    const DataObject& anchor = objects[rng.NextUint64(objects.size())];
+    const double side = rng.NextDouble(5, 200);
+    const Rect window = Rect::Window(anchor.pos, side, rng.NextDouble(5, 200));
+    size_t count = 0;
+    {
+      std::vector<DataObject> hits;
+      WindowQueryFrom(tree, {&root, 1}, window, &hits, nullptr);
+      count = hits.size();
+    }
+    // The leaf holding the anchor, as the NWC search knows it.
+    NodeId leaf = kInvalidNodeId;
+    for (NodeId id = 0; leaf == kInvalidNodeId; ++id) {
+      if (!tree.IsLive(id) || !tree.node(id).is_leaf()) continue;
+      const LeafObjects& leaf_objects = tree.node(id).objects;
+      for (size_t i = 0; i < leaf_objects.size(); ++i) {
+        if (leaf_objects.id(i) == anchor.id) leaf = id;
+      }
+    }
+    iwp.ResolveStartNodes(leaf, window, &starts);
+    for (const size_t min_hits : {size_t{0}, count > 0 ? count - 1 : 0, count, count + 1}) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " min_hits " << min_hits);
+      ExpectCountFirstWalkMatches(tree, {&root, 1}, window, min_hits, 0);
+      ExpectCountFirstWalkMatches(tree, starts, window, min_hits, 0);
+      // A fault after the second read stops both walks mid-way.
+      ExpectCountFirstWalkMatches(tree, {&root, 1}, window, min_hits, 2);
+      ExpectCountFirstWalkMatches(tree, starts, window, min_hits, 2);
+    }
+  }
 }
 
 }  // namespace

@@ -107,7 +107,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/stopwatch.h"
 #include "core/knwc_engine.h"
 #include "core/nwc_engine.h"
 #include "datasets/dataset.h"
@@ -473,7 +472,6 @@ int CmdServeBatch(const Args& args) {
   // default spaced so the stream outlives the batches.
   std::vector<std::future<NwcResponse>> nwc_futures;
   std::vector<std::future<KnwcResponse>> knwc_futures;
-  Stopwatch wall;
   const size_t mutate_every =
       mutation_batches.empty()
           ? 0
@@ -549,12 +547,9 @@ int CmdServeBatch(const Args& args) {
       }
     }
   }
-  const double seconds = wall.ElapsedSeconds();
-
+  // The snapshot's own `wall:` line is the run's one throughput figure.
   const MetricsSnapshot snapshot = service->SnapshotMetrics();
   std::printf("\n--- metrics report ---\n");
-  std::printf("wall time:  %.3f s (%.1f queries/sec)\n", seconds,
-              seconds > 0.0 ? static_cast<double>(snapshot.queries) / seconds : 0.0);
   if (store != nullptr) {
     std::printf("mutations:  %zu batch(es) applied, final epoch %llu, %zu object(s)\n",
                 mutation_batches.size(), static_cast<unsigned long long>(store->epoch()),
