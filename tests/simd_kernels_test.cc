@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,6 +162,24 @@ TEST(SimdDispatchTest, ForceScalarSelectsTheOracle) {
   simd::SetDispatchMode(simd::DispatchMode::kForceScalar);
   EXPECT_STREQ(simd::ActiveKernelName(), "scalar");
   EXPECT_EQ(&simd::Ops(), &simd::ScalarOps());
+  simd::SetDispatchMode(saved);
+}
+
+TEST(SimdDispatchTest, ModeAndTableAgreeAfterConcurrentSwitches) {
+  const simd::DispatchMode saved = simd::GetDispatchMode();
+  std::thread scalar([] {
+    for (int i = 0; i < 2000; ++i) simd::SetDispatchMode(simd::DispatchMode::kForceScalar);
+  });
+  std::thread automatic([] {
+    for (int i = 0; i < 2000; ++i) simd::SetDispatchMode(simd::DispatchMode::kAuto);
+  });
+  scalar.join();
+  automatic.join();
+  // Whichever switch landed last, the mode it reports selects the table
+  // that is active.
+  const simd::KernelOps* active = &simd::Ops();
+  simd::SetDispatchMode(simd::GetDispatchMode());
+  EXPECT_EQ(&simd::Ops(), active);
   simd::SetDispatchMode(saved);
 }
 
